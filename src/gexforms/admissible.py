@@ -107,10 +107,15 @@ def is_admissible_bruteforce(q: QuadraticForm) -> AdmissibleBasis | None:
     Candidates are the vectors with Q = 1; the search walks increasing vector
     values while maintaining linear independence, and prunes a branch as soon
     as some chosen vector can no longer find a B_Q-partner.  Returns the
-    lexicographically first basis, or None.  Guaranteed budget up to dim 6;
-    larger inputs run best-effort.
+    lexicographically first basis, or None.  The search grows about 3x per
+    added dimension, so it is capped: raises ValueError above
+    BRUTEFORCE_DIM_CAP.
     """
     n = q.dim
+    if n > BRUTEFORCE_DIM_CAP:
+        raise ValueError(
+            f"admissibility oracle capped at dimension {BRUTEFORCE_DIM_CAP}"
+        )
     if n == 0:
         return None
     ev = q.eval_bits

@@ -17,6 +17,18 @@ def _parity(x: int) -> int:
     return x.bit_count() & 1
 
 
+def _transpose_rows(rows, cols: int) -> list[int]:
+    """Transpose packed rows by walking their set bits: O(len(rows) + set bits)."""
+    data = [0] * cols
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            j = row.bit_length() - 1
+            row ^= 1 << j
+            data[j] |= bit
+    return data
+
+
 @dataclass(frozen=True)
 class BitVector:
     """A vector in GF(2)^dim, coordinates packed into an int."""
@@ -114,13 +126,9 @@ class BitMatrix:
         return bits
 
     def transpose(self) -> "BitMatrix":
-        data = []
-        for j in range(self.cols):
-            row = 0
-            for i in range(self.rows):
-                row |= ((self.data[i] >> j) & 1) << i
-            data.append(row)
-        return BitMatrix(self.cols, self.rows, tuple(data))
+        return BitMatrix(
+            self.cols, self.rows, tuple(_transpose_rows(self.data, self.cols))
+        )
 
     def matmul(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
@@ -230,51 +238,48 @@ def symplectic_basis(
     B vanishes across distinct pairs and on/against the radical, and the pairs
     together with the radical form a basis.  Deterministic: always grabs the
     lowest-index available vector.
+
+    Word-level: each working vector travels with a row of B, so every test
+    B(u, x) is one AND plus a popcount.  Validating the input costs
+    O(n + set bits); the decomposition costs O(n^2) word operations.
     """
     n = b.rows
     if b.rows != b.cols:
         raise ValueError("alternating form must be square")
+    rows = b.data
+    cols = _transpose_rows(rows, n)
     for i in range(n):
-        if b.entry(i, i):
+        if (rows[i] >> i) & 1:
             raise ValueError("form has nonzero diagonal (not alternating)")
-        for j in range(i + 1, n):
-            if b.entry(i, j) != b.entry(j, i):
-                raise ValueError("form is not symmetric")
+        if (rows[i] ^ cols[i]) >> (i + 1):
+            raise ValueError("form is not symmetric")
 
-    def _parity_acc(u: int, v: int) -> int:
-        acc = 0
-        for i in range(n):
-            if (u >> i) & 1:
-                acc ^= b.data[i]
-        return _parity(acc & v)
-
-    working = [1 << i for i in range(n)]
+    # Each working vector u = e_i + (earlier pair vectors) keeps the image
+    # Be_i of its start.  The earlier pair vectors are B-orthogonal to every
+    # vector still working, so parity(Be_i & x) = B(u, x) for those x.
+    working = [(1 << i, rows[i]) for i in range(n)]
     pairs: list[tuple[BitVector, BitVector]] = []
-    radical: list[int] = []
+    radical: list[BitVector] = []
     while working:
-        v = working[0]
-        partner = None
-        for w in working[1:]:
-            if _parity_acc(v, w):
-                partner = w
+        v, pv = working[0]
+        for k in range(1, len(working)):
+            w = working[k][0]
+            if (pv & w).bit_count() & 1:
                 break
-        if partner is None:
-            radical.append(v)
+        else:
+            radical.append(BitVector(n, v))
             working = working[1:]
             continue
-        pairs.append((BitVector(n, v), BitVector(n, partner)))
+        pairs.append((BitVector(n, v), BitVector(n, w)))
         rest = []
-        for u in working:
-            if u in (v, partner):
-                continue
-            u2 = u
-            if _parity_acc(u, partner):
-                u2 ^= v
-            if _parity_acc(u, v):
-                u2 ^= partner
-            rest.append(u2)
+        for u, pu in working[1:k] + working[k + 1 :]:
+            if (pu & w).bit_count() & 1:
+                u ^= v
+            if (pu & v).bit_count() & 1:
+                u ^= w
+            rest.append((u, pu))
         working = rest
-    return pairs, [BitVector(n, r) for r in radical]
+    return pairs, radical
 
 
 @lru_cache(maxsize=None)

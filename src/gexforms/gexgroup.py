@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .f2linalg import BitVector, kernel_basis
+from .f2linalg import BitVector, _parity, kernel_basis
 from .quadform import (
     FormClass,
     Kind,
@@ -27,8 +27,6 @@ from .quadform import (
     parse_form,
     zero_form,
 )
-
-_parity = lambda x: x.bit_count() & 1
 
 FROM_FORM_DIM_CAP = 16
 ISO_ORACLE_ORDER_CAP = 64

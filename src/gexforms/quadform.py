@@ -13,6 +13,7 @@ with 2*m1 + m2 = l, plus the zero form; ``classify`` computes which, and
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,14 +21,14 @@ from .f2linalg import (
     MAX_DIM,
     BitMatrix,
     BitVector,
+    _parity,
+    _transpose_rows,
     invertible_matrices,
     is_invertible,
     kernel_basis,
     rank,
     symplectic_basis,
 )
-
-_parity = lambda x: x.bit_count() & 1
 
 
 class Kind(enum.Enum):
@@ -83,14 +84,14 @@ class QuadraticForm:
     # -- polar form ---------------------------------------------------------
 
     def polar(self) -> BitMatrix:
-        """The associated alternating bilinear form B_Q as a symmetric matrix."""
+        """The associated alternating bilinear form B_Q as a symmetric matrix.
+
+        B_Q = U + U^T for the strictly upper-triangular U = ``upper``; the
+        transpose walks set bits, so this costs O(dim + set bits).
+        """
         n = self.dim
-        data = list(self.upper)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (self.upper[i] >> j) & 1:
-                    data[j] |= 1 << i
-        return BitMatrix(n, n, tuple(data))
+        lower = _transpose_rows(self.upper, n)
+        return BitMatrix(n, n, tuple(u | l for u, l in zip(self.upper, lower)))
 
     def bilinear_bits(self, u: int, v: int) -> int:
         """B_Q(u, v) = Q(u+v) + Q(u) + Q(v)."""
@@ -109,8 +110,12 @@ class QuadraticForm:
 
 
 def parse_form(spec: str) -> QuadraticForm:
-    """Parse the `l=<dim>;d=<bits>;u=<bits>` serialization; rejects bad counts."""
-    parts = spec.strip().split(";")
+    """Parse the `l=<dim>;d=<bits>;u=<bits>` serialization; rejects bad counts.
+
+    Only the canonical spelling is accepted, so parse_form(s).to_string() == s
+    for every accepted s.
+    """
+    parts = spec.split(";")
     if len(parts) != 3:
         raise ValueError("form spec must have three ;-separated fields l, d, u")
     fields = {}
@@ -118,10 +123,10 @@ def parse_form(spec: str) -> QuadraticForm:
         if not part.startswith(key + "="):
             raise ValueError(f"expected field {key}= in {part!r}")
         fields[key] = part[2:]
-    try:
-        dim = int(fields["l"])
-    except ValueError:
-        raise ValueError(f"invalid dimension {fields['l']!r}") from None
+    # int() would also take signs, spaces, leading zeros and non-ASCII digits.
+    if not re.fullmatch(r"0|[1-9][0-9]*", fields["l"]):
+        raise ValueError(f"invalid dimension {fields['l']!r}")
+    dim = int(fields["l"])
     if not 0 <= dim <= MAX_DIM:
         raise ValueError(f"dimension {dim} out of range [0, {MAX_DIM}]")
     d = fields["d"]

@@ -136,6 +136,12 @@ def test_bruteforce_random_at_cap():
             assert check_basis(q, basis)
 
 
+def test_bruteforce_rejects_above_cap():
+    q = random_form(BRUTEFORCE_DIM_CAP + 1, random.Random(RNG_SEED + 3))
+    with pytest.raises(ValueError, match="capped at dimension 6"):
+        is_admissible_bruteforce(q)
+
+
 def test_bruteforce_is_deterministic():
     q = sum_forms(h_minus(), h_plus())
     b1 = is_admissible_bruteforce(q)

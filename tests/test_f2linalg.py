@@ -10,6 +10,13 @@ from gexforms.f2linalg import (
     rank,
     symplectic_basis,
 )
+from gexforms.quadform import (
+    change_basis,
+    direct_sum,
+    random_form,
+    random_invertible,
+    zero_form,
+)
 
 CYCLE3 = BitMatrix(3, 3, (0b110, 0b101, 0b011))  # rows (011),(101),(110)
 
@@ -82,7 +89,7 @@ def _bilinear(b, u, v):
 def test_symplectic_block_structure_random():
     rng = random.Random(11)
     for _ in range(100):
-        n = rng.randrange(1, 8)
+        n = rng.randrange(1, 65)
         data = [0] * n
         for i in range(n):
             for j in range(i + 1, n):
@@ -124,3 +131,77 @@ def test_symplectic_rejects_non_alternating():
         symplectic_basis(BitMatrix.identity(2))
     with pytest.raises(ValueError):
         symplectic_basis(BitMatrix(2, 2, (0b10, 0b00)))
+
+
+def test_symplectic_rejects_asymmetry_in_high_row():
+    data = [0] * 6
+    for i, j in ((0, 1), (2, 3), (3, 5), (4, 5)):
+        data[i] |= 1 << j
+        data[j] |= 1 << i
+    symplectic_basis(BitMatrix(6, 6, tuple(data)))  # the symmetric base is valid
+    lopsided = list(data)
+    lopsided[5] |= 1 << 2  # entry (5, 2) without its mirror (2, 5)
+    with pytest.raises(ValueError, match="not symmetric"):
+        symplectic_basis(BitMatrix(6, 6, tuple(lopsided)))
+    diagonal = list(data)
+    diagonal[5] |= 1 << 5
+    with pytest.raises(ValueError, match="nonzero diagonal"):
+        symplectic_basis(BitMatrix(6, 6, tuple(diagonal)))
+
+
+def _reference_symplectic_basis(b):
+    """The original bit-by-bit decomposition, kept as the reference: B(u, w)
+    accumulates the rows of b selected by u, one bit at a time."""
+    n = b.rows
+
+    def _parity_acc(u, v):
+        acc = 0
+        for i in range(n):
+            if (u >> i) & 1:
+                acc ^= b.data[i]
+        return (acc & v).bit_count() & 1
+
+    working = [1 << i for i in range(n)]
+    pairs = []
+    radical = []
+    while working:
+        v = working[0]
+        partner = None
+        for w in working[1:]:
+            if _parity_acc(v, w):
+                partner = w
+                break
+        if partner is None:
+            radical.append(v)
+            working = working[1:]
+            continue
+        pairs.append((v, partner))
+        rest = []
+        for u in working:
+            if u in (v, partner):
+                continue
+            u2 = u
+            if _parity_acc(u, partner):
+                u2 ^= v
+            if _parity_acc(u, v):
+                u2 ^= partner
+            rest.append(u2)
+        working = rest
+    return pairs, radical
+
+
+def test_symplectic_matches_reference_bit_for_bit():
+    rng = random.Random(17)
+    forms = []
+    for d in range(65):
+        forms.append(random_form(d, rng))
+        m = rng.randrange(0, d // 2 + 1)  # radical of dimension at least d / 2
+        radical_heavy = direct_sum(random_form(m, rng), zero_form(d - m))
+        forms.append(radical_heavy)
+        if d % 4 == 0:
+            forms.append(change_basis(radical_heavy, random_invertible(d, rng)))
+    for q in forms:
+        b = q.polar()
+        pairs, radical = symplectic_basis(b)
+        got = ([(u.bits, w.bits) for u, w in pairs], [r.bits for r in radical])
+        assert got == _reference_symplectic_basis(b), q.to_string()

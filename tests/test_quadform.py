@@ -104,6 +104,12 @@ def test_parse_form_known_string():
         "d=00;l=2;u=0",
         "l=-1;d=;u=",
         "l=two;d=00;u=0",
+        "l=+2;d=00;u=0",
+        "l=-0;d=;u=",
+        "l=\u0662;d=00;u=0",  # ARABIC-INDIC DIGIT TWO
+        "l=02;d=00;u=0",
+        "l= 2;d=00;u=0",
+        "l=2;d=00;u=0\n",
     ],
 )
 def test_parse_form_rejects(bad):
