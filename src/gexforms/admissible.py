@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .f2linalg import BitMatrix, BitVector, is_invertible
+from .f2linalg import BitMatrix, BitVector, _row_image, is_invertible
 from .quadform import Kind, QuadraticForm, classify, normal_form_witness
 
 
@@ -124,18 +124,9 @@ def is_admissible_bruteforce(q: QuadraticForm) -> AdmissibleBasis | None:
     # B_Q(v, u) = parity(pv & u) where pv is v applied to the polar matrix.
     polar = q.polar().data
 
-    def prow(v: int) -> int:
-        acc = 0
-        w = v
-        while w:
-            i = (w & -w).bit_length() - 1
-            w &= w - 1
-            acc ^= polar[i]
-        return acc
-
     # Iteratively drop candidates with no partner among the remaining ones.
     while True:
-        rows = {v: prow(v) for v in candidates}
+        rows = {v: _row_image(polar, v) for v in candidates}
         kept = [
             v
             for v in candidates
@@ -159,7 +150,7 @@ def is_admissible_bruteforce(q: QuadraticForm) -> AdmissibleBasis | None:
     partner_masks = []
     for i, v in enumerate(candidates):
         pm = 0
-        rv = prow(v)
+        rv = _row_image(polar, v)
         for j, u in enumerate(candidates):
             if j != i and (rv & u).bit_count() & 1:
                 pm |= 1 << j

@@ -6,6 +6,16 @@ difference with a sign counting the transpositions needed to interleave the
 two sorted products, plus one flip per generator squared (each generator
 squares to -1).
 
+That count is bilinear in the two subsets.  Moving e_j of t to the left past
+s costs one transposition per i in s with i > j, and one more flip if j is in
+s itself, so e_j contributes the parity of #{i in s : i >= j}.  Bit j of the
+mask A(s) = s ^ XOR_{i in s} ((1 << i) - 1) is exactly that parity, hence
+
+    e_s e_t = (-1)^parity(A(s) & t) e_(s ^ t),
+
+the same law as the cocycle product of ``gexgroup`` with A(s) in place of the
+cocycle row.
+
 E(n) is isomorphic to the presented group on generators -1, e_1, ..., e_{n-1}
 with e_i^2 = -1 and anticommuting generators, which is exactly the cocycle
 model of the all-ones quadratic form; ``verify_psi`` checks that isomorphism
@@ -43,15 +53,21 @@ class CliffordElement:
             raise ValueError("subset must have even size")
 
 
+def _sign_mask(s: int) -> int:
+    """A(s) = s ^ XOR_{i in s} ((1 << i) - 1): bit j is the parity of the
+    elements of s that are >= j."""
+    a = s
+    w = s
+    while w:
+        low = w & -w
+        a ^= low - 1
+        w ^= low
+    return a
+
+
 def _blade_mul(sa: int, s: int, sb: int, t: int) -> tuple[int, int]:
     """Multiply two signed blades (no evenness constraint)."""
-    flips = (s & t).bit_count()  # squared generators, each contributing -1
-    w = t
-    while w:
-        j = (w & -w).bit_length() - 1
-        w &= w - 1
-        flips += (s >> (j + 1)).bit_count()  # transpositions to move e_j left
-    return (sa ^ sb ^ (flips & 1), s ^ t)
+    return (sa ^ sb ^ ((_sign_mask(s) & t).bit_count() & 1), s ^ t)
 
 
 def clifford_mul(
@@ -160,22 +176,29 @@ def verify_psi(n: int, sample_pairs: int | None = None, rng=None) -> bool:
         return False
     if any(subset.bit_count() % 2 for _, subset in images):
         return False
+    # (left factor, right factors) batches: every pair, or the sampled ones.
     if sample_pairs is None:
-        pairs = (
-            (x, y) for x in g.elements_packed() for y in g.elements_packed()
-        )
+        pairs = ((x, g.elements_packed()) for x in g.elements_packed())
     else:
         if rng is None:
             raise ValueError("sampled verification needs an rng")
         pairs = (
-            (rng.randrange(g.order), rng.randrange(g.order))
+            (rng.randrange(g.order), (rng.randrange(g.order),))
             for _ in range(sample_pairs)
         )
-    for x, y in pairs:
-        sx, ux = images[x]
-        sy, uy = images[y]
-        if _blade_mul(sx, ux, sy, uy) != images[g.pmul(x, y)]:
-            return False
+    # Images packed as (subset << 1) | sign multiply like cocycle-model
+    # elements, with the sign mask as the row of the left factor.
+    packed = [(subset << 1) | sign for sign, subset in images]
+    for x, ys in pairs:
+        rx = g.cocycle_row(x)
+        px = packed[x]
+        ax = _sign_mask(px >> 1) << 1
+        for y in ys:
+            py = packed[y]
+            if packed[x ^ y ^ ((rx & y).bit_count() & 1)] != px ^ py ^ (
+                (ax & py).bit_count() & 1
+            ):
+                return False
     return True
 
 

@@ -17,6 +17,16 @@ def _parity(x: int) -> int:
     return x.bit_count() & 1
 
 
+def _row_image(rows, v: int) -> int:
+    """The XOR of rows[i] over the set bits i of v: O(set bits of v)."""
+    acc = 0
+    while v:
+        low = v & -v
+        acc ^= rows[low.bit_length() - 1]
+        v ^= low
+    return acc
+
+
 def _transpose_rows(rows, cols: int) -> list[int]:
     """Transpose packed rows by walking their set bits: O(len(rows) + set bits)."""
     data = [0] * cols

@@ -8,6 +8,17 @@ M_ij = B_Q(e_i, e_j) for i < j, giving the multiplication law
 Squares recover Q and commutators recover B_Q, so the group determines the
 form and vice versa.  Elements are packed as ints ((vec << 1) | central) for
 the hot loops; the GroupElement wrapper is the friendly surface.
+
+On packed ints the law is one XOR plus a parity.  For x = (u, eps) let R(x)
+be the XOR of the cocycle rows M_i over the set bits i of u, shifted left by
+one so that it skips the central bit of y; then
+
+    x * y = x ^ y ^ parity(R(x) & y).
+
+R(x) depends on the left factor only, so a loop over every right factor
+computes it once (``cocycle_row``), as the multiplication tables of the
+isomorphism oracle do.  ``center`` returns a view sized from a basis of the
+radical of B_Q; its elements are built only when it is iterated.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .f2linalg import BitVector, _parity, kernel_basis
+from .f2linalg import BitVector, _parity, _row_image, kernel_basis
 from .quadform import (
     FormClass,
     Kind,
@@ -74,18 +85,15 @@ class GexGroup:
     # -- packed-int operations (hot path) ------------------------------------
 
     def cocycle_bits(self, u: int, v: int) -> int:
-        acc = 0
-        w = u
-        rows = self.cocycle
-        while w:
-            i = (w & -w).bit_length() - 1
-            w &= w - 1
-            acc ^= rows[i] & v
-        return _parity(acc)
+        """u^T M v for vectors u, v."""
+        return _parity(_row_image(self.cocycle, u) & v)
+
+    def cocycle_row(self, x: int) -> int:
+        """R(x): pmul(x, y) == x ^ y ^ parity(R(x) & y) for every packed y."""
+        return _row_image(self.cocycle, x >> 1) << 1
 
     def pmul(self, x: int, y: int) -> int:
-        u, v = x >> 1, y >> 1
-        return ((u ^ v) << 1) | ((x ^ y ^ self.cocycle_bits(u, v)) & 1)
+        return x ^ y ^ _parity(self.cocycle_row(x) & y)
 
     def pinv(self, x: int) -> int:
         v = x >> 1
@@ -145,14 +153,31 @@ def parse_group(spec: str) -> GexGroup:
 # -- subgroups ---------------------------------------------------------------
 
 
-def center(g: GexGroup) -> list[GroupElement]:
-    """{(v, eps) : v in radical(B_Q)}; both central fibers over the radical."""
-    rad = kernel_basis(g.form.polar())
-    span = {0}
-    for r in rad:
-        span |= {s ^ r.bits for s in span}
-    packed = sorted((v << 1) | e for v in span for e in (0, 1))
-    return [g.element(x) for x in packed]
+@dataclass(frozen=True)
+class Center:
+    """{(v, eps) : v in radical(B_Q)}: both central fibers over the radical.
+
+    A view: its size is 2^(k+1) for the k vectors of ``radical``, a basis of
+    the radical, and iterating builds the elements in sorted packed order.
+    """
+
+    group: GexGroup
+    radical: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return 2 << len(self.radical)
+
+    def __iter__(self):
+        span = [0]
+        for r in self.radical:
+            span += [s ^ r for s in span]
+        for v in sorted(span):
+            yield self.group.element(v << 1)
+            yield self.group.element((v << 1) | 1)
+
+
+def center(g: GexGroup) -> Center:
+    return Center(g, tuple(r.bits for r in kernel_basis(g.form.polar())))
 
 
 def commutator_subgroup(g: GexGroup) -> list[GroupElement]:
@@ -362,42 +387,53 @@ def form_from_table(
 
 
 class TableGroup:
-    """A finite group given by any multiplication callable on range(order)."""
+    """A finite group given by its multiplication table on range(order)."""
 
-    def __init__(self, order: int, mul):
-        self.order = order
-        self.mul = mul
+    def __init__(self, table):
+        self.table = tuple(tuple(row) for row in table)
+        self.order = len(self.table)
+        elements = tuple(range(self.order))
         self.identity = next(
-            x for x in range(order) if all(mul(x, y) == y for y in range(order))
+            x for x, row in enumerate(self.table) if row == elements
         )
 
     @classmethod
     def from_gex(cls, g: GexGroup) -> "TableGroup":
-        return cls(g.order, g.pmul)
+        """The table of g, one cocycle row per left factor; raises ValueError
+        above ISO_ORACLE_ORDER_CAP, where it would need order^2 entries."""
+        if g.order > ISO_ORACLE_ORDER_CAP:
+            raise ValueError(
+                f"multiplication tables capped at order {ISO_ORACLE_ORDER_CAP}"
+            )
+        elements = range(g.order)
+        rows = []
+        for x in elements:
+            r = g.cocycle_row(x)
+            rows.append([x ^ y ^ ((r & y).bit_count() & 1) for y in elements])
+        return cls(rows)
 
     @classmethod
     def from_table(cls, table) -> "TableGroup":
-        return cls(len(table), lambda x, y: table[x][y])
+        return cls(table)
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
+        t = self.table
         orders = []
         for x in range(self.order):
             y, o = x, 1
             while y != self.identity:
-                y = self.mul(y, x)
+                y = t[y][x]
                 o += 1
             orders.append(o)
         return tuple(orders)
 
     @cached_property
     def center_size(self) -> int:
-        n = self.order
-        return sum(
-            all(self.mul(x, y) == self.mul(y, x) for y in range(n)) for x in range(n)
-        )
+        return sum(row == col for row, col in zip(self.table, zip(*self.table)))
 
     def generating_set(self) -> list[int]:
+        t = self.table
         gens: list[int] = []
         span = {self.identity}
         for x in range(self.order):
@@ -409,7 +445,7 @@ class TableGroup:
             while frontier:
                 y = frontier.pop()
                 for g in gens:
-                    z = self.mul(y, g)
+                    z = t[y][g]
                     if z not in span:
                         span.add(z)
                         frontier.append(z)
@@ -420,14 +456,15 @@ class TableGroup:
 
 def _try_generator_images(g1: TableGroup, g2: TableGroup, gens, imgs):
     """Close the partial map sending gens -> imgs; None on any conflict."""
+    t1, t2 = g1.table, g2.table
     m = {g1.identity: g2.identity}
     frontier = [g1.identity]
     while frontier:
         x = frontier.pop()
         fx = m[x]
         for g, h in zip(gens, imgs):
-            xg = g1.mul(x, g)
-            fxh = g2.mul(fx, h)
+            xg = t1[x][g]
+            fxh = t2[fx][h]
             prev = m.get(xg)
             if prev is None:
                 m[xg] = fxh
@@ -442,9 +479,10 @@ def _try_generator_images(g1: TableGroup, g2: TableGroup, gens, imgs):
 def _is_full_isomorphism(g1: TableGroup, g2: TableGroup, m) -> bool:
     if len(m) != g1.order:
         return False
+    t1, t2 = g1.table, g2.table
     items = list(m.items())
     return all(
-        m[g1.mul(x, y)] == g2.mul(fx, fy) for x, fx in items for y, fy in items
+        m[t1[x][y]] == t2[fx][fy] for x, fx in items for y, fy in items
     )
 
 
@@ -482,5 +520,11 @@ def iso_oracle_tables(g1: TableGroup, g2: TableGroup) -> bool:
 
 
 def iso_oracle(g1: GexGroup, g2: GexGroup) -> bool:
-    """Ground truth for classify_group: explicit-table isomorphism search."""
+    """Ground truth for classify_group: explicit-table isomorphism search.
+
+    Groups of different orders are told apart before any table is built;
+    equal orders above ISO_ORACLE_ORDER_CAP raise ValueError.
+    """
+    if g1.order != g2.order:
+        return False
     return iso_oracle_tables(TableGroup.from_gex(g1), TableGroup.from_gex(g2))

@@ -22,6 +22,7 @@ from .f2linalg import (
     BitMatrix,
     BitVector,
     _parity,
+    _row_image,
     _transpose_rows,
     invertible_matrices,
     is_invertible,
@@ -60,13 +61,7 @@ class QuadraticForm:
     # -- evaluation ---------------------------------------------------------
 
     def eval_bits(self, v: int) -> int:
-        acc = self.diag & v
-        w = v
-        while w:
-            i = (w & -w).bit_length() - 1
-            w &= w - 1
-            acc ^= self.upper[i] & v
-        return _parity(acc)
+        return _parity((self.diag ^ _row_image(self.upper, v)) & v)
 
     def __call__(self, v: BitVector) -> int:
         if v.dim != self.dim:

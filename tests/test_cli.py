@@ -70,6 +70,15 @@ def test_group_summary(capsys):
     code, out, _ = run(capsys, "group", ZERO2)
     assert code == 0
     assert out.strip() == "Z2^3, order 8, center 8, Frattini 1"
+    # dim 16, all radical: the center's size comes without its 131072 elements
+    zero16 = "l=16;d=" + "0" * 16 + ";u=" + "0" * 120
+    code, out, _ = run(capsys, "group", zero16)
+    assert code == 0
+    assert out.strip() == "Z2^17, order 131072, center 131072, Frattini 1"
+    q1_zero15 = "l=16;d=1" + "0" * 15 + ";u=" + "0" * 120
+    code, out, _ = run(capsys, "group", q1_zero15)
+    assert code == 0
+    assert out.strip() == "Z4 x Z2^15, order 131072, center 131072, Frattini 2"
 
 
 def test_central_product(capsys):

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from gexforms import clifford
 from gexforms.clifford import (
     IDENTITY,
     CliffordElement,
     EnTableRow,
+    _blade_mul,
     clifford_mul,
     e_group,
     en_computed_class,
@@ -16,7 +18,7 @@ from gexforms.clifford import (
     verify_psi,
 )
 from gexforms.gexgroup import BaseKind, GroupClass, from_form
-from gexforms.quadform import classify, FormClass, Kind
+from gexforms.quadform import classify, FormClass, Kind, QuadraticForm
 
 RNG_SEED = 271828
 
@@ -42,6 +44,28 @@ def test_disjoint_pairs_commute_or_anticommute():
     c = CliffordElement(0, 0b0110)  # e2 e3: shares one generator with each
     ac, ca = clifford_mul(a, c), clifford_mul(c, a)
     assert ac.subset == ca.subset and ac.sign != ca.sign
+
+
+def _blade_mul_reference(sa, s, sb, t):
+    """The blade product by counting transpositions and squared generators."""
+    flips = (s & t).bit_count()
+    w = t
+    while w:
+        j = (w & -w).bit_length() - 1
+        w &= w - 1
+        flips += (s >> (j + 1)).bit_count()
+    return (sa ^ sb ^ (flips & 1), s ^ t)
+
+
+def test_blade_mul_matches_transposition_count():
+    for s in range(1 << 8):
+        for t in range(1 << 8):
+            assert _blade_mul(0, s, 0, t) == _blade_mul_reference(0, s, 0, t)
+    rng = random.Random(RNG_SEED + 5)
+    for _ in range(10_000):
+        sa, sb = rng.getrandbits(1), rng.getrandbits(1)
+        s, t = rng.getrandbits(17), rng.getrandbits(17)
+        assert _blade_mul(sa, s, sb, t) == _blade_mul_reference(sa, s, sb, t)
 
 
 def test_known_product_signs():
@@ -142,6 +166,21 @@ def test_verify_psi_sampled():
         verify_psi(9, sample_pairs=10)  # sampling needs an rng
     with pytest.raises(ValueError):
         verify_psi(11)
+
+
+def test_verify_psi_detects_a_wrong_form(monkeypatch):
+    # One polar coefficient flipped: e_1 and e_2 commute in the model but
+    # their images anticommute, so the map is no homomorphism.
+    def flipped(n_minus_1):
+        q = g0_form(n_minus_1)
+        upper = (q.upper[0] ^ 0b10,) + q.upper[1:]
+        return QuadraticForm(q.dim, q.diag, upper)
+
+    monkeypatch.setattr(clifford, "g0_form", flipped)
+    for n in range(3, 10):
+        assert not verify_psi(n)
+    rng = random.Random(RNG_SEED + 4)
+    assert not verify_psi(10, sample_pairs=1000, rng=rng)
 
 
 def test_en_order_matches_presented_group():

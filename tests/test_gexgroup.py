@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gexforms.f2linalg import BitVector
+from gexforms.f2linalg import BitVector, kernel_basis
 from gexforms.gexgroup import (
     BaseKind,
     D8_CENTRAL,
@@ -114,6 +114,30 @@ def test_center_matches_bruteforce():
         assert {e.packed() for e in center(g)} == brute
 
 
+def _center_reference(g):
+    """The center as an eagerly built, sorted element list."""
+    rad = kernel_basis(g.form.polar())
+    span = {0}
+    for r in rad:
+        span |= {s ^ r.bits for s in span}
+    packed = sorted((v << 1) | e for v in span for e in (0, 1))
+    return [g.element(x) for x in packed]
+
+
+def test_center_view_matches_element_list():
+    rng = random.Random(RNG_SEED + 4)
+    for dim in range(9):
+        forms = [random_form(dim, rng) for _ in range(5)]
+        for m in range(dim + 1):
+            forms.append(direct_sum(random_form(m, rng), zero_form(dim - m)))
+        for q in forms:
+            g = from_form(q)
+            reference = _center_reference(g)
+            view = center(g)
+            assert len(view) == len(reference)
+            assert list(view) == reference
+
+
 def test_commutator_and_squares_subgroups():
     g = from_form(h_plus())
     assert len(commutator_subgroup(g)) == 2
@@ -208,6 +232,19 @@ def test_models_match_reference_tables():
     )
 
 
+def test_table_from_gex_matches_pmul():
+    rng = random.Random(RNG_SEED + 5)
+    forms = [q for dim in range(4) for q in all_forms(dim)]
+    forms += [random_form(dim, rng) for dim in (4, 5) for _ in range(10)]
+    for q in forms:
+        g = from_form(q)
+        table = TableGroup.from_gex(g).table
+        elements = range(g.order)
+        assert table == tuple(
+            tuple(g.pmul(x, y) for y in elements) for x in elements
+        )
+
+
 def test_q8q8_is_d8d8_but_q8_is_not_d8():
     q8 = from_form(h_minus())
     d8 = from_form(h_plus())
@@ -219,6 +256,14 @@ def test_iso_oracle_order_cap():
     big = from_form(zero_form(6))
     with pytest.raises(ValueError):
         iso_oracle(big, big)
+    with pytest.raises(ValueError):
+        TableGroup.from_gex(big)
+    # A dim-16 table would hold 2^34 entries: the cap and the order comparison
+    # come before any table is built.
+    g16 = from_form(zero_form(16))
+    with pytest.raises(ValueError):
+        iso_oracle(g16, g16)
+    assert not iso_oracle(g16, from_form(zero_form(4)))
 
 
 def test_classify_group_dictionary():
