@@ -105,6 +105,11 @@ def cmd_en(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
+    try:
+        verify.get_seed()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = verify.run_suite()
     if args.json:
         for c in report.checks:

@@ -167,6 +167,8 @@ def verify_psi(n: int, sample_pairs: int | None = None, rng=None) -> bool:
 
     Exhaustive over all element pairs by default; with ``sample_pairs`` set,
     checks bijectivity exhaustively but the homomorphism law on a sample.
+    Capped at n = 10, below MAX_N: every call builds all 2^n images, and the
+    exhaustive mode checks all 4^n pairs (about a million at n = 10).
     """
     if not 2 <= n <= 10:
         raise ValueError("verify_psi supported for 2 <= n <= 10")

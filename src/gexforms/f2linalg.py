@@ -69,24 +69,6 @@ class BitVector:
         return "".join(str((self.bits >> i) & 1) for i in range(self.dim))
 
     @staticmethod
-    def from_string(s: str, dim: int | None = None) -> "BitVector":
-        if dim is not None and len(s) != dim:
-            raise ValueError(f"expected {dim} bits, got {len(s)}")
-        bits = 0
-        for i, ch in enumerate(s):
-            if ch == "1":
-                bits |= 1 << i
-            elif ch != "0":
-                raise ValueError(f"invalid bit character {ch!r}")
-        return BitVector(len(s), bits)
-
-    @staticmethod
-    def unit(dim: int, i: int) -> "BitVector":
-        if not 0 <= i < dim:
-            raise ValueError(f"unit index {i} out of range")
-        return BitVector(dim, 1 << i)
-
-    @staticmethod
     def zero(dim: int) -> "BitVector":
         return BitVector(dim, 0)
 
@@ -107,12 +89,6 @@ class BitMatrix:
         for r in self.data:
             if r >> self.cols:
                 raise ValueError("row bits set beyond column count")
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.data[i] >> j) & 1
-
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.data[i])
 
     def col(self, j: int) -> BitVector:
         bits = 0
@@ -139,16 +115,6 @@ class BitMatrix:
         return BitMatrix(
             self.cols, self.rows, tuple(_transpose_rows(self.data, self.cols))
         )
-
-    def matmul(self, other: "BitMatrix") -> "BitMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        ot = other.transpose()
-        data = tuple(
-            sum(_parity(self.data[i] & ot.data[j]) << j for j in range(other.cols))
-            for i in range(self.rows)
-        )
-        return BitMatrix(self.rows, other.cols, data)
 
     @staticmethod
     def identity(n: int) -> "BitMatrix":
@@ -177,36 +143,16 @@ class BitMatrix:
         ]
 
 
-def rank(m: BitMatrix) -> int:
-    """GF(2) rank via Gaussian elimination (lowest-index pivot first)."""
-    rows = list(m.data)
-    r = 0
-    for col in range(m.cols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if (rows[i] >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(len(rows)):
-            if i != r and (rows[i] >> col) & 1:
-                rows[i] ^= rows[r]
-        r += 1
-    return r
+def _row_reduce(m: BitMatrix) -> tuple[list[int], list[int]]:
+    """Gauss-Jordan elimination, lowest-index pivot first.
 
-
-def kernel_basis(m: BitMatrix) -> list[BitVector]:
-    """A basis of the right kernel {v : Mv = 0}, in deterministic order.
-
-    Reduces M to reduced row-echelon form; each free column yields one basis
-    vector with a 1 in that column and back-substituted pivot entries.
+    Returns the reduced rows and the pivot columns: row i holds the pivot of
+    column pivots[i] for i < len(pivots), and the remaining rows are zero.
     """
     rows = list(m.data)
     pivots: list[int] = []
-    r = 0
     for col in range(m.cols):
+        r = len(pivots)
         pivot = None
         for i in range(r, len(rows)):
             if (rows[i] >> col) & 1:
@@ -219,7 +165,21 @@ def kernel_basis(m: BitMatrix) -> list[BitVector]:
             if i != r and (rows[i] >> col) & 1:
                 rows[i] ^= rows[r]
         pivots.append(col)
-        r += 1
+    return rows, pivots
+
+
+def rank(m: BitMatrix) -> int:
+    """GF(2) rank: the number of pivots of the reduced row-echelon form."""
+    return len(_row_reduce(m)[1])
+
+
+def kernel_basis(m: BitMatrix) -> list[BitVector]:
+    """A basis of the right kernel {v : Mv = 0}, in deterministic order.
+
+    Reduces M to reduced row-echelon form; each free column yields one basis
+    vector with a 1 in that column and back-substituted pivot entries.
+    """
+    rows, pivots = _row_reduce(m)
     pivot_set = set(pivots)
     basis = []
     for col in range(m.cols):

@@ -6,8 +6,8 @@ M_ij = B_Q(e_i, e_j) for i < j, giving the multiplication law
     (u, eps) * (v, delta) = (u + v, eps + delta + u^T M v).
 
 Squares recover Q and commutators recover B_Q, so the group determines the
-form and vice versa.  Elements are packed as ints ((vec << 1) | central) for
-the hot loops; the GroupElement wrapper is the friendly surface.
+form and vice versa.  Elements are packed ints (vec << 1) | central: 0 is the
+identity and 1 the central involution.
 
 On packed ints the law is one XOR plus a parity.  For x = (u, eps) let R(x)
 be the XOR of the cocycle rows M_i over the set bits i of u, shifted left by
@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .f2linalg import BitVector, _parity, _row_image, kernel_basis
+from .f2linalg import _parity, _row_image, kernel_basis
 from .quadform import (
     FormClass,
     Kind,
@@ -41,15 +41,6 @@ from .quadform import (
 
 FROM_FORM_DIM_CAP = 16
 ISO_ORACLE_ORDER_CAP = 64
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    vec: BitVector
-    central: int
-
-    def packed(self) -> int:
-        return (self.vec.bits << 1) | self.central
 
 
 @dataclass(frozen=True)
@@ -76,17 +67,7 @@ class GexGroup:
     def order(self) -> int:
         return 1 << (self.form.dim + 1)
 
-    def identity(self) -> GroupElement:
-        return GroupElement(BitVector.zero(self.dim), 0)
-
-    def central_involution(self) -> GroupElement:
-        return GroupElement(BitVector.zero(self.dim), 1)
-
     # -- packed-int operations (hot path) ------------------------------------
-
-    def cocycle_bits(self, u: int, v: int) -> int:
-        """u^T M v for vectors u, v."""
-        return _parity(_row_image(self.cocycle, u) & v)
 
     def cocycle_row(self, x: int) -> int:
         """R(x): pmul(x, y) == x ^ y ^ parity(R(x) & y) for every packed y."""
@@ -114,28 +95,6 @@ class GexGroup:
     def elements_packed(self):
         return range(self.order)
 
-    # -- element-level surface ------------------------------------------------
-
-    def element(self, packed: int) -> GroupElement:
-        return GroupElement(BitVector(self.dim, packed >> 1), packed & 1)
-
-    def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        if a.vec.dim != self.dim or b.vec.dim != self.dim:
-            raise ValueError("element dimension mismatch")
-        return self.element(self.pmul(a.packed(), b.packed()))
-
-    def inv(self, a: GroupElement) -> GroupElement:
-        return self.element(self.pinv(a.packed()))
-
-    def square(self, a: GroupElement) -> GroupElement:
-        return self.element(self.psquare(a.packed()))
-
-    def commutator(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self.element(self.pcommutator(a.packed(), b.packed()))
-
-    def elements(self) -> list[GroupElement]:
-        return [self.element(x) for x in self.elements_packed()]
-
     def to_string(self) -> str:
         return "gex:" + self.form.to_string()
 
@@ -158,7 +117,7 @@ class Center:
     """{(v, eps) : v in radical(B_Q)}: both central fibers over the radical.
 
     A view: its size is 2^(k+1) for the k vectors of ``radical``, a basis of
-    the radical, and iterating builds the elements in sorted packed order.
+    the radical, and iterating yields the packed elements in sorted order.
     """
 
     group: GexGroup
@@ -172,31 +131,27 @@ class Center:
         for r in self.radical:
             span += [s ^ r for s in span]
         for v in sorted(span):
-            yield self.group.element(v << 1)
-            yield self.group.element((v << 1) | 1)
+            yield v << 1
+            yield (v << 1) | 1
 
 
 def center(g: GexGroup) -> Center:
     return Center(g, tuple(r.bits for r in kernel_basis(g.form.polar())))
 
 
-def commutator_subgroup(g: GexGroup) -> list[GroupElement]:
-    if any(g.form.polar().data):
-        return [g.identity(), g.central_involution()]
-    return [g.identity()]
+def commutator_subgroup(g: GexGroup) -> tuple[int, ...]:
+    return (0, 1) if any(g.form.polar().data) else (0,)
 
 
-def squares_subgroup(g: GexGroup) -> list[GroupElement]:
-    if not g.form.is_zero_form():
-        return [g.identity(), g.central_involution()]
-    return [g.identity()]
+def squares_subgroup(g: GexGroup) -> tuple[int, ...]:
+    return (0,) if g.form.is_zero_form() else (0, 1)
 
 
-def frattini(g: GexGroup) -> list[GroupElement]:
+def frattini(g: GexGroup) -> tuple[int, ...]:
     """Phi(G) = G^2 . [G,G] for a 2-group; here both live in the central fiber."""
     if len(squares_subgroup(g)) > 1 or len(commutator_subgroup(g)) > 1:
-        return [g.identity(), g.central_involution()]
-    return [g.identity()]
+        return (0, 1)
+    return (0,)
 
 
 def is_generalized_extraspecial(g: GexGroup) -> bool:

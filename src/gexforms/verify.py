@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import time
 from dataclasses import dataclass
 
@@ -20,8 +21,14 @@ SEED_ENV_VAR = "GEXFORMS_SEED"
 
 
 def get_seed() -> int:
+    """The seed of every randomized check: GEXFORMS_SEED if set, written as
+    -?[0-9]+, else DEFAULT_SEED.  Raises ValueError on any other spelling."""
     raw = os.environ.get(SEED_ENV_VAR)
-    return int(raw) if raw else DEFAULT_SEED
+    if not raw:
+        return DEFAULT_SEED
+    if not re.fullmatch(r"-?[0-9]+", raw):
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer (-?[0-9]+), got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -82,9 +89,9 @@ def check_classification_complete(max_dim: int = 3):
 
 
 def check_admissibility(max_exhaustive_dim: int = 4, random_per_dim: int = 200):
-    """Classification-based admissibility equals the backtracking search."""
+    """Classification-based admissibility equals the backtracking search, and
+    every basis the search finds passes the direct checks."""
     rng = random.Random(get_seed())
-    checked = 0
     anchors = [
         (quadform.h_plus(), False),
         (quadform.direct_sum(quadform.h_plus(), quadform.q_one()), False),
@@ -94,21 +101,21 @@ def check_admissibility(max_exhaustive_dim: int = 4, random_per_dim: int = 200):
     for q, expected in anchors:
         if adm.is_admissible(q) != expected:
             return False, f"anchor {q.to_string()} expected {expected}"
-    for dim in range(1, max_exhaustive_dim + 1):
-        for q in quadform.all_forms(dim):
-            basis = adm.is_admissible_bruteforce(q)
-            if adm.is_admissible(q) != (basis is not None):
-                return False, f"oracle disagreement at {q.to_string()}"
-            if basis is not None and not adm.check_basis(q, basis):
-                return False, f"invalid search basis at {q.to_string()}"
-            checked += 1
-    for dim in (5, 6):
-        for _ in range(random_per_dim):
-            q = quadform.random_form(dim, rng)
-            if adm.is_admissible(q) != (adm.is_admissible_bruteforce(q) is not None):
-                return False, f"oracle disagreement at {q.to_string()}"
-            checked += 1
-    return True, f"{checked} forms"
+        if (adm.is_admissible_bruteforce(q) is not None) != expected:
+            return False, f"search at anchor {q.to_string()} expected {expected}"
+    forms = [
+        q for dim in range(1, max_exhaustive_dim + 1) for q in quadform.all_forms(dim)
+    ]
+    forms += [
+        quadform.random_form(dim, rng) for dim in (5, 6) for _ in range(random_per_dim)
+    ]
+    for q in forms:
+        basis = adm.is_admissible_bruteforce(q)
+        if adm.is_admissible(q) != (basis is not None):
+            return False, f"oracle disagreement at {q.to_string()}"
+        if basis is not None and not adm.check_basis(q, basis):
+            return False, f"invalid search basis at {q.to_string()}"
+    return True, f"{len(forms)} forms"
 
 
 def check_splitting(max_dim: int = 3, max_zeros: int = 3):
@@ -126,7 +133,9 @@ def check_splitting(max_dim: int = 3, max_zeros: int = 3):
 
 
 def check_dictionary(rounds: int = 50):
-    """Reference tables give the advertised forms; products act on forms blockwise."""
+    """Reference tables give the advertised forms; central products and extra
+    Z2 factors act blockwise on forms, over ``rounds`` random products of
+    combined dimension <= 8."""
     rng = random.Random(get_seed() + 1)
     table_expect = [
         (gexgroup.Q8_TABLE, gexgroup.Q8_CENTRAL, quadform.h_minus(), "Q8"),
@@ -137,23 +146,29 @@ def check_dictionary(rounds: int = 50):
         got = gexgroup.form_from_table(table, central)
         if not quadform.is_isometric(got, expected):
             return False, f"{label} table form is {got.to_string()}"
-    for _ in range(rounds):
+    products = 0
+    while products < rounds:
         d1 = rng.randrange(1, 5)
         d2 = rng.randrange(1, 5)
+        nz = rng.randrange(0, 9 - d1 - d2)
         q1, q2 = quadform.random_form(d1, rng), quadform.random_form(d2, rng)
-        g1, g2 = gexgroup.from_form(q1), gexgroup.from_form(q2)
         try:
-            prod = gexgroup.central_product(g1, g2)
+            prod = gexgroup.central_product(
+                gexgroup.from_form(q1), gexgroup.from_form(q2)
+            )
         except ValueError:
             continue  # a factor with trivial Frattini subgroup
-        if gexgroup.q_from_group(prod) != quadform.direct_sum(q1, q2):
-            return False, "central product form mismatch"
-        n = rng.randrange(0, 4)
-        padded = gexgroup.direct_z2(g1, n)
+        products += 1
+        q12 = quadform.direct_sum(q1, q2)
+        if gexgroup.q_from_group(prod) != q12:
+            return False, f"central product form mismatch at {q12.to_string()}"
+        padded = gexgroup.direct_z2(prod, nz)
         if gexgroup.q_from_group(padded) != quadform.direct_sum(
-            q1, quadform.zero_form(n)
+            q12, quadform.zero_form(nz)
         ):
-            return False, "Z2-factor form mismatch"
+            return False, f"Z2-factor form mismatch at {q12.to_string()} + 0^{nz}"
+        if padded.order != 1 << (d1 + d2 + nz + 1):
+            return False, f"order {padded.order} at {q12.to_string()} + 0^{nz}"
     return True, f"3 tables + {rounds} random products"
 
 
@@ -194,6 +209,8 @@ def check_group_laws(max_dim: int = 3):
 
 
 def check_psi(max_exhaustive: int = 8, sampled: tuple[int, ...] = (9, 10)):
+    """The generator map onto E(n) is a bijective homomorphism: every pair up
+    to ``max_exhaustive``, 1000 seeded pairs at each ``sampled`` n."""
     rng = random.Random(get_seed() + 2)
     for n in range(2, max_exhaustive + 1):
         if not clifford.verify_psi(n):
@@ -205,7 +222,10 @@ def check_psi(max_exhaustive: int = 8, sampled: tuple[int, ...] = (9, 10)):
 
 
 def check_en_table(n_max: int = 17):
+    """One PASS row per n = 2..n_max, each carrying the residue of its n."""
     rows = clifford.verify_en_table(n_max)
+    if [(r.n, r.residue) for r in rows] != [(n, n % 8) for n in range(2, n_max + 1)]:
+        return False, f"rows do not cover n=2..{n_max} with their residues mod 8"
     bad = [r for r in rows if not r.ok]
     if bad:
         return False, "; ".join(r.format() for r in bad)

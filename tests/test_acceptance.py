@@ -2,24 +2,23 @@
 
 Every test prints a single `ACCEPTANCE <name>: PASS` / `FAIL` line (visible
 under `pytest -s` and in captured output on failure) and enforces its stated
-runtime budget.  All comparisons are exact; there are no tolerances.
+runtime budget.  All comparisons are exact; there are no tolerances.  The
+guarantees that `gexforms verify-paper` also reports call the same
+`verify.check_*` function with the acceptance sizes, so a failing gate names
+its counterexample.
 """
 
-import random
 import time
 
-import pytest
-
 from gexforms import admissible as adm
-from gexforms import clifford, gexgroup, quadform
-from gexforms.verify import get_seed
+from gexforms import gexgroup, quadform, verify
 
 
-def _report(name, ok, budget=None, elapsed=None):
+def _report(name, ok, detail="", budget=None, elapsed=None):
     status = "PASS" if ok else "FAIL"
     timing = f" ({elapsed:.2f}s of {budget:.0f}s budget)" if budget else ""
     print(f"ACCEPTANCE {name}: {status}{timing}")
-    assert ok, f"acceptance criterion {name} failed"
+    assert ok, f"acceptance criterion {name} failed: {detail}"
     if budget is not None:
         assert elapsed < budget, f"{name} exceeded {budget}s budget: {elapsed:.2f}s"
 
@@ -27,17 +26,13 @@ def _report(name, ok, budget=None, elapsed=None):
 def test_classification_matches_exhaustive_isometry_search():
     """classify is a complete isometry invariant for every form pair, dims 0-3."""
     start = time.perf_counter()
-    ok = True
-    for dim in range(4):
-        forms = list(quadform.all_forms(dim))
-        classes = [quadform.classify(q) for q in forms]
-        for i, q in enumerate(forms):
-            for j in range(i, len(forms)):
-                witness = quadform.isometry_oracle(q, forms[j])
-                if (classes[i] == classes[j]) != (witness is not None):
-                    ok = False
+    ok, detail = verify.check_classification_complete(max_dim=3)
     _report(
-        "classification-complete", ok, budget=10.0, elapsed=time.perf_counter() - start
+        "classification-complete",
+        ok,
+        detail,
+        budget=10.0,
+        elapsed=time.perf_counter() - start,
     )
 
 
@@ -46,34 +41,11 @@ def test_admissibility_verdict_matches_bruteforce_search():
     exhaustive at dims 1-4, 1000 seeded random forms each at dims 5 and 6,
     plus the four fixed anchors."""
     start = time.perf_counter()
-    rng = random.Random(get_seed())
-    ok = True
-
-    anchors = [
-        (quadform.h_plus(), False),
-        (quadform.direct_sum(quadform.h_plus(), quadform.q_one()), False),
-        (quadform.direct_sum(quadform.h_plus(), quadform.h_plus()), True),
-        (quadform.h_minus(), True),
-    ]
-    for q, expected in anchors:
-        if adm.is_admissible(q) != expected:
-            ok = False
-        if (adm.is_admissible_bruteforce(q) is not None) != expected:
-            ok = False
-
-    for dim in range(1, 5):
-        for q in quadform.all_forms(dim):
-            if adm.is_admissible(q) != (adm.is_admissible_bruteforce(q) is not None):
-                ok = False
-    for dim in (5, 6):
-        for _ in range(1000):
-            q = quadform.random_form(dim, rng)
-            if adm.is_admissible(q) != (adm.is_admissible_bruteforce(q) is not None):
-                ok = False
-
+    ok, detail = verify.check_admissibility(max_exhaustive_dim=4, random_per_dim=1000)
     _report(
         "admissibility-theorem-vs-search",
         ok,
+        detail,
         budget=60.0,
         elapsed=time.perf_counter() - start,
     )
@@ -98,46 +70,15 @@ def test_admissible_witnesses_pass_direct_checks():
 def test_group_form_dictionary():
     """Hardcoded Q8, D8, Z4 tables carry forms isometric to H-, H+, Q1; the
     central product and extra Z2 factors act blockwise on the recovered form,
-    checked datum for datum on random inputs of combined dimension <= 8."""
+    checked datum for datum on 100 random products of combined dimension <= 8."""
     start = time.perf_counter()
-    rng = random.Random(get_seed() + 10)
-    ok = True
-
-    for table, central, expected in [
-        (gexgroup.Q8_TABLE, gexgroup.Q8_CENTRAL, quadform.h_minus()),
-        (gexgroup.D8_TABLE, gexgroup.D8_CENTRAL, quadform.h_plus()),
-        (gexgroup.Z4_TABLE, gexgroup.Z4_CENTRAL, quadform.q_one()),
-    ]:
-        got = gexgroup.form_from_table(table, central)
-        if not quadform.is_isometric(got, expected):
-            ok = False
-
-    trials = 0
-    while trials < 100:
-        d1 = rng.randrange(1, 5)
-        d2 = rng.randrange(1, 5)
-        nz = rng.randrange(0, 9 - d1 - d2)
-        q1 = quadform.random_form(d1, rng)
-        q2 = quadform.random_form(d2, rng)
-        g1, g2 = gexgroup.from_form(q1), gexgroup.from_form(q2)
-        try:
-            prod = gexgroup.central_product(g1, g2)
-        except ValueError:
-            continue  # a factor with trivial Frattini subgroup: not a valid input
-        trials += 1
-        if gexgroup.q_from_group(prod) != quadform.direct_sum(q1, q2):
-            ok = False
-        padded = gexgroup.direct_z2(prod, nz)
-        want = quadform.direct_sum(
-            quadform.direct_sum(q1, q2), quadform.zero_form(nz)
-        )
-        if gexgroup.q_from_group(padded) != want:
-            ok = False
-        if padded.order != 1 << (d1 + d2 + nz + 1):
-            ok = False
-
+    ok, detail = verify.check_dictionary(rounds=100)
     _report(
-        "group-form-dictionary", ok, budget=10.0, elapsed=time.perf_counter() - start
+        "group-form-dictionary",
+        ok,
+        detail,
+        budget=10.0,
+        elapsed=time.perf_counter() - start,
     )
 
 
@@ -172,16 +113,8 @@ def test_group_classification_matches_isomorphism_oracle():
 
 def test_admissibility_ignores_zero_summands():
     """admissible(q + 0^n) = admissible(q) for every form at dims 1-3, n <= 3."""
-    ok = True
-    for dim in range(1, 4):
-        for q in quadform.all_forms(dim):
-            base = adm.is_admissible(q)
-            for n in range(4):
-                if adm.is_admissible(
-                    quadform.direct_sum(q, quadform.zero_form(n))
-                ) != base:
-                    ok = False
-    _report("zero-summand-splitting", ok)
+    ok, detail = verify.check_splitting(max_dim=3, max_zeros=3)
+    _report("zero-summand-splitting", ok, detail)
 
 
 def test_clifford_presentation_isomorphism():
@@ -189,14 +122,11 @@ def test_clifford_presentation_isomorphism():
     homomorphism: exhaustive over all element pairs for n = 2..8, sampled
     (1000 seeded pairs) at n = 9 and 10."""
     start = time.perf_counter()
-    rng = random.Random(get_seed() + 20)
-    ok = all(clifford.verify_psi(n) for n in range(2, 9))
-    ok = ok and all(
-        clifford.verify_psi(n, sample_pairs=1000, rng=rng) for n in (9, 10)
-    )
+    ok, detail = verify.check_psi(max_exhaustive=8, sampled=(9, 10))
     _report(
         "clifford-presentation-iso",
         ok,
+        detail,
         budget=60.0,
         elapsed=time.perf_counter() - start,
     )
@@ -206,28 +136,18 @@ def test_clifford_mod8_table():
     """verify_en_table(17) reports PASS on all sixteen rows n = 2..17, covering
     every residue class mod 8 at least once."""
     start = time.perf_counter()
-    rows = clifford.verify_en_table(17)
-    for row in rows:
-        print(row.format())
-    ok = len(rows) == 16 and all(r.ok for r in rows)
-    ok = ok and {r.residue for r in rows} == set(range(8))
+    ok, detail = verify.check_en_table(n_max=17)
     _report(
-        "clifford-mod8-table", ok, budget=10.0, elapsed=time.perf_counter() - start
+        "clifford-mod8-table",
+        ok,
+        detail,
+        budget=10.0,
+        elapsed=time.perf_counter() - start,
     )
 
 
 def test_group_model_laws():
     """Squares realize Q and commutators realize the polar form, for every
     element pair of every model at dims 0-4."""
-    ok = True
-    for dim in range(5):
-        for q in quadform.all_forms(dim):
-            g = gexgroup.from_form(q)
-            for x in g.elements_packed():
-                if g.psquare(x) != q.eval_bits(x >> 1):
-                    ok = False
-                for y in g.elements_packed():
-                    comm = g.pcommutator(x, y)
-                    if comm >> 1 or (comm & 1) != q.bilinear_bits(x >> 1, y >> 1):
-                        ok = False
-    _report("group-model-laws", ok)
+    ok, detail = verify.check_group_laws(max_dim=4)
+    _report("group-model-laws", ok, detail)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from gexforms.cli import main
-from gexforms.verify import run_suite
+from gexforms.verify import DEFAULT_SEED, get_seed, run_suite
 
 H_MINUS = "l=2;d=11;u=1"
 H_PLUS = "l=2;d=00;u=1"
@@ -126,6 +126,19 @@ def test_verify_paper_json(capsys):
     assert "admissibility-theorem-vs-search" in names
 
 
+def test_verify_paper_rejects_bad_seed(capsys, monkeypatch):
+    for raw in ("abc", " 7 ", "7\n", "\u0667", "+7", "1.5"):
+        monkeypatch.setenv("GEXFORMS_SEED", raw)
+        code, out, err = run(capsys, "verify-paper")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: GEXFORMS_SEED")
+    monkeypatch.setenv("GEXFORMS_SEED", "-7")
+    assert get_seed() == -7
+    monkeypatch.setenv("GEXFORMS_SEED", "")
+    assert get_seed() == DEFAULT_SEED
+
+
 def test_verify_suite_direct():
     report = run_suite()
     assert report.ok
@@ -133,3 +146,14 @@ def test_verify_suite_direct():
     assert report.summary() == "8/8 checks passed"
     for c in report.checks:
         assert c.format().startswith("[PASS] ")
+    # The details count the work done; none of them depends on the seed.
+    assert [(c.name, c.detail) for c in report.checks] == [
+        ("form-classification-complete", "2120 form pairs"),
+        ("admissibility-theorem-vs-search", "1498 forms"),
+        ("zero-summand-splitting", "296 padded forms"),
+        ("group-form-dictionary", "3 tables + 50 random products"),
+        ("central-product-identities", "orders, Frattini, and order-32 isomorphism"),
+        ("group-model-laws", "16932 element pairs"),
+        ("clifford-presentation-iso", "exhaustive n<=8, sampled n=[9, 10]"),
+        ("clifford-mod8-table", "16 rows, n=2..17"),
+    ]

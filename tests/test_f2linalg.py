@@ -40,6 +40,39 @@ def test_kernel_cycle():
     assert basis == [BitVector(3, 0b111)]
 
 
+def _reference_rank_and_kernel(m):
+    """The elimination loop that rank and kernel_basis each ran before they
+    shared one (rank's copy kept no pivot list), with kernel_basis's
+    back-substitution, kept as the reference: (rank, kernel vector bits)."""
+    rows = list(m.data)
+    pivots = []
+    r = 0
+    for col in range(m.cols):
+        pivot = None
+        for i in range(r, len(rows)):
+            if (rows[i] >> col) & 1:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(len(rows)):
+            if i != r and (rows[i] >> col) & 1:
+                rows[i] ^= rows[r]
+        pivots.append(col)
+        r += 1
+    kernel = []
+    for col in range(m.cols):
+        if col in pivots:
+            continue
+        bits = 1 << col
+        for pr, pc in enumerate(pivots):
+            if (rows[pr] >> col) & 1:
+                bits |= 1 << pc
+        kernel.append(bits)
+    return r, kernel
+
+
 def test_kernel_vectors_annihilate_and_are_independent():
     rng = random.Random(7)
     for _ in range(50):
@@ -50,6 +83,22 @@ def test_kernel_vectors_annihilate_and_are_independent():
             assert m.matvec(v).is_zero()
         if basis:
             assert rank(BitMatrix.from_rows(basis)) == len(basis)
+    # Shapes wide, tall and square, dense and sparse, up to 64 x 64: rank and
+    # the kernel vectors, in order, match the reference bit for bit.
+    shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (3, 7), (7, 3), (8, 8), (16, 16)]
+    shapes += [(33, 20), (20, 33), (64, 64)]
+    for rows, cols in shapes:
+        for sparse in (False, True):
+            for _ in range(20):
+                data = []
+                for _ in range(rows):
+                    bits = rng.getrandbits(cols) if cols else 0
+                    if sparse and cols:
+                        bits &= rng.getrandbits(cols) & rng.getrandbits(cols)
+                    data.append(bits)
+                m = BitMatrix(rows, cols, tuple(data))
+                got = (rank(m), [v.bits for v in kernel_basis(m)])
+                assert got == _reference_rank_and_kernel(m), m.data
 
 
 def test_is_invertible():
