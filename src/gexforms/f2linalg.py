@@ -100,10 +100,7 @@ class BitMatrix:
         """Matrix-vector product Mv over GF(2)."""
         if v.dim != self.cols:
             raise ValueError("dimension mismatch")
-        bits = 0
-        for i in range(self.rows):
-            bits |= _parity(self.data[i] & v.bits) << i
-        return BitVector(self.rows, bits)
+        return BitVector(self.rows, self.matvec_bits(v.bits))
 
     def matvec_bits(self, v: int) -> int:
         bits = 0

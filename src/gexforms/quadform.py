@@ -15,7 +15,8 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .f2linalg import (
     MAX_DIM,
@@ -363,11 +364,32 @@ def normal_form_witness(q: QuadraticForm) -> Isometry:
 ORACLE_DIM_CAP = 4
 
 
+@lru_cache(maxsize=None)
+def _gl_actions(n: int) -> tuple[tuple[BitMatrix, itemgetter], ...]:
+    """(T, pull) for each T of invertible_matrices(n), in the same order.
+
+    pull(table) is the tuple table[Tv] for v = 0..2^n-1.  Each image table
+    costs one XOR per vector: Tv = T(v without its low bit) ^ column(low bit).
+    """
+    actions = []
+    for t in invertible_matrices(n):
+        cols = _transpose_rows(t.data, n)
+        images = [0] * (1 << n)
+        for v in range(1, 1 << n):
+            low = v & -v
+            images[v] = images[v ^ low] ^ cols[low.bit_length() - 1]
+        actions.append((t, itemgetter(*images)))
+    return tuple(actions)
+
+
 def isometry_oracle(q: QuadraticForm, q2: QuadraticForm) -> Isometry | None:
     """Exhaustively search GL(dim, GF(2)) for T with change_basis(q2, T) = q.
 
     Independent ground truth for classify; capped at dim 4 (20160 matrices).
-    Returns the first witness in the fixed enumeration order, or None.
+    Returns the first witness in the fixed enumeration order of
+    invertible_matrices, or None.  The action of every T on GF(2)^dim is
+    tabulated once per dim and cached, so each candidate costs one
+    itemgetter gather of q2's value table, compared with q's.
     """
     if q.dim != q2.dim:
         raise ValueError("oracle requires equal dimensions")
@@ -378,9 +400,9 @@ def isometry_oracle(q: QuadraticForm, q2: QuadraticForm) -> Isometry | None:
         return Isometry(BitMatrix.identity(0))
     t1 = q.value_table
     t2 = q2.value_table
-    for t in invertible_matrices(n):
-        # change_basis(q2, t) == q  <=>  q2(Tv) == q(v) for all v
-        if all(t2[t.matvec_bits(v)] == t1[v] for v in range(1 << n)):
+    # change_basis(q2, t) == q  <=>  q2(Tv) == q(v) for all v
+    for t, pull in _gl_actions(n):
+        if pull(t2) == t1:
             return Isometry(t)
     return None
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gexforms import verify
 from gexforms.f2linalg import kernel_basis
 from gexforms.gexgroup import (
     BaseKind,
@@ -311,3 +312,14 @@ def test_direct_z2_pads_radical():
     fc = classify(g.form)
     assert fc == FormClass(5, 1, Kind.MINUS, 3)
     assert classify_group(g) == GroupClass(BaseKind.Q8_POWER, 1, 3)
+
+
+def test_group_laws_detects_a_broken_law(monkeypatch):
+    """check_group_laws reads pinv, so an inverse without its eval_bits
+    correction (x^-1 = x) must fail it and name the form."""
+    monkeypatch.setattr(GexGroup, "pinv", lambda self, x: x)
+    ok, detail = verify.check_group_laws(max_dim=2)
+    prefix = "commutator law at "
+    assert not ok
+    assert detail.startswith(prefix)
+    assert parse_group("gex:" + detail[len(prefix) :]).dim <= 2

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gexforms.f2linalg import BitMatrix, BitVector
+from gexforms.f2linalg import BitMatrix, BitVector, invertible_matrices
 from gexforms.quadform import (
     FormClass,
     Kind,
@@ -222,6 +222,41 @@ def test_oracle_witness_is_a_real_isometry():
         w = isometry_oracle(q, q2)
         assert w is not None
         assert change_basis(q2, w.map) == q
+
+
+def _reference_oracle(q, q2):
+    """The old isometry_oracle loop: one matvec_bits per vector and matrix."""
+    n = q.dim
+    if n == 0:
+        return BitMatrix.identity(0).data
+    t1, t2 = q.value_table, q2.value_table
+    for t in invertible_matrices(n):
+        if all(t2[t.matvec_bits(v)] == t1[v] for v in range(1 << n)):
+            return t.data
+    return None
+
+
+def test_oracle_matches_matvec_loop():
+    """Same witness matrix (or None) as the per-vector loop: every ordered
+    pair at dims 0-3, and 30 seeded dim-4 pairs, half of them isometric."""
+
+    def witness(q, q2):
+        w = isometry_oracle(q, q2)
+        return None if w is None else w.map.data
+
+    for dim in range(4):
+        forms = list(all_forms(dim))
+        for q in forms:
+            for q2 in forms:
+                assert witness(q, q2) == _reference_oracle(q, q2)
+    rng = random.Random(RNG_SEED + 6)
+    for i in range(30):
+        q = random_form(4, rng)
+        if i % 2:
+            q2 = change_basis(q, random_invertible(4, rng))
+        else:
+            q2 = random_form(4, rng)
+        assert witness(q, q2) == _reference_oracle(q, q2)
 
 
 def test_describe_strings():
