@@ -11,7 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .f2linalg import BitMatrix, BitVector, _row_image, is_invertible
+from .f2linalg import (
+    BitMatrix,
+    BitVector,
+    _row_image,
+    _transpose_rows,
+    is_invertible,
+)
 from .quadform import Kind, QuadraticForm, classify, normal_form_witness
 
 
@@ -31,12 +37,13 @@ def check_basis(q: QuadraticForm, basis: AdmissibleBasis) -> bool:
         return False
     if not is_invertible(BitMatrix.from_cols(list(vs))):
         return False
-    if any(q.eval_bits(v.bits) != 1 for v in vs):
+    bits = [v.bits for v in vs]
+    ev = q.eval_bits
+    if any(ev(b) != 1 for b in bits):
         return False
-    for i, v in enumerate(vs):
-        if not any(
-            q.bilinear_bits(v.bits, w.bits) for j, w in enumerate(vs) if j != i
-        ):
+    # Q = 1 on both, so B_Q(v, w) = Q(v + w) + Q(v) + Q(w) = Q(v + w).
+    for i, v in enumerate(bits):
+        if not any(ev(v ^ w) for j, w in enumerate(bits) if j != i):
             return False
     return True
 
@@ -110,6 +117,16 @@ def is_admissible_bruteforce(q: QuadraticForm) -> AdmissibleBasis | None:
     lexicographically first basis, or None.  The search grows about 3x per
     added dimension, so it is capped: raises ValueError above
     BRUTEFORCE_DIM_CAP.
+
+    One pass over GF(2)^n tabulates Q(v) and the polar row image P(v), each
+    from w = v ^ e_i, v without its low bit e_i, at one XOR:
+    P(v) = P(w) ^ P(e_i) and Q(v) = Q(w) ^ Q(e_i) ^ B_Q(w, e_i), the last
+    term being bit i of P(w).
+    Partner masks are bit-sliced: coord[b] has bit j set when candidate j
+    has coordinate b, so the mask of the candidates that pair with v under
+    B_Q is the row image of P(v) over coord, O(n) per candidate for k
+    candidates instead of O(k).  Candidates without a partner are dropped
+    until none is; the search reads the masks of that last round.
     """
     n = q.dim
     if n > BRUTEFORCE_DIM_CAP:
@@ -118,20 +135,24 @@ def is_admissible_bruteforce(q: QuadraticForm) -> AdmissibleBasis | None:
         )
     if n == 0:
         return None
-    ev = q.eval_bits
-    candidates = [v for v in range(1, 1 << n) if ev(v)]
-
-    # B_Q(v, u) = parity(pv & u) where pv is v applied to the polar matrix.
     polar = q.polar().data
+    diag = q.diag
+    size = 1 << n
+    value = [0] * size
+    image = [0] * size
+    for v in range(1, size):
+        low = v & -v
+        i = low.bit_length() - 1
+        rest = v ^ low
+        image[v] = image[rest] ^ polar[i]
+        value[v] = value[rest] ^ ((diag ^ image[rest]) >> i & 1)
+    candidates = [v for v in range(1, size) if value[v]]
 
-    # Iteratively drop candidates with no partner among the remaining ones.
+    # B_Q(v, v) = 0, so no mask has its own candidate's bit set.
     while True:
-        rows = {v: _row_image(polar, v) for v in candidates}
-        kept = [
-            v
-            for v in candidates
-            if any((rows[v] & u).bit_count() & 1 for u in candidates if u != v)
-        ]
+        coord = _transpose_rows(candidates, n)
+        partner_masks = [_row_image(coord, image[v]) for v in candidates]
+        kept = [v for v, pm in zip(candidates, partner_masks) if pm]
         if len(kept) == len(candidates):
             break
         candidates = kept
@@ -147,14 +168,6 @@ def is_admissible_bruteforce(q: QuadraticForm) -> AdmissibleBasis | None:
         return None
 
     k = len(candidates)
-    partner_masks = []
-    for i, v in enumerate(candidates):
-        pm = 0
-        rv = _row_image(polar, v)
-        for j, u in enumerate(candidates):
-            if j != i and (rv & u).bit_count() & 1:
-                pm |= 1 << j
-        partner_masks.append(pm)
     full_tail = [(1 << k) - (1 << i) for i in range(k + 1)]  # indices >= i
 
     chosen: list[int] = []

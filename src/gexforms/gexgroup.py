@@ -81,16 +81,16 @@ class GexGroup:
         return (v << 1) | ((x ^ self.form.eval_bits(v)) & 1)
 
     def psquare(self, x: int) -> int:
-        return self.form.eval_bits(x >> 1)
+        return self.pmul(x, x)
 
     def pcommutator(self, x: int, y: int) -> int:
         gh = self.pmul(x, y)
         return self.pmul(gh, self.pmul(self.pinv(x), self.pinv(y)))
 
     def porder(self, x: int) -> int:
-        if x >> 1 == 0:
-            return 1 if x == 0 else 2
-        return 4 if self.form.eval_bits(x >> 1) else 2
+        if x == 0:
+            return 1
+        return 4 if self.pmul(x, x) else 2
 
     def elements_packed(self):
         return range(self.order)

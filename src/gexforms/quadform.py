@@ -389,7 +389,9 @@ def isometry_oracle(q: QuadraticForm, q2: QuadraticForm) -> Isometry | None:
     Returns the first witness in the fixed enumeration order of
     invertible_matrices, or None.  The action of every T on GF(2)^dim is
     tabulated once per dim and cached, so each candidate costs one
-    itemgetter gather of q2's value table, compared with q's.
+    itemgetter gather of q2's value table, compared with q's.  An isometry
+    permutes GF(2)^dim, so forms with different numbers of vectors of value
+    1 are told apart by that count before the loop.
     """
     if q.dim != q2.dim:
         raise ValueError("oracle requires equal dimensions")
@@ -400,6 +402,8 @@ def isometry_oracle(q: QuadraticForm, q2: QuadraticForm) -> Isometry | None:
         return Isometry(BitMatrix.identity(0))
     t1 = q.value_table
     t2 = q2.value_table
+    if sum(t1) != sum(t2):
+        return None
     # change_basis(q2, t) == q  <=>  q2(Tv) == q(v) for all v
     for t, pull in _gl_actions(n):
         if pull(t2) == t1:

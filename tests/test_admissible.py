@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gexforms.f2linalg import BitVector
+from gexforms.f2linalg import BitVector, _row_image
 from gexforms.admissible import (
     AdmissibleBasis,
     BRUTEFORCE_DIM_CAP,
@@ -140,6 +140,101 @@ def test_bruteforce_rejects_above_cap():
     q = random_form(BRUTEFORCE_DIM_CAP + 1, random.Random(RNG_SEED + 3))
     with pytest.raises(ValueError, match="capped at dimension 6"):
         is_admissible_bruteforce(q)
+
+
+def _reference_bruteforce(q):
+    """The search as it stood before its value and partner-mask tables: one
+    eval_bits and one polar row image per vector, a k^2 partner loop."""
+    n = q.dim
+    if n == 0:
+        return None
+    ev = q.eval_bits
+    candidates = [v for v in range(1, 1 << n) if ev(v)]
+    polar = q.polar().data
+    while True:
+        rows = {v: _row_image(polar, v) for v in candidates}
+        kept = [
+            v
+            for v in candidates
+            if any((rows[v] & u).bit_count() & 1 for u in candidates if u != v)
+        ]
+        if len(kept) == len(candidates):
+            break
+        candidates = kept
+    if len(candidates) < n:
+        return None
+    span = {0}
+    for v in candidates:
+        if v not in span:
+            span |= {s ^ v for s in span}
+    if len(span) != 1 << n:
+        return None
+    k = len(candidates)
+    partner_masks = []
+    for i, v in enumerate(candidates):
+        pm = 0
+        rv = _row_image(polar, v)
+        for j, u in enumerate(candidates):
+            if j != i and (rv & u).bit_count() & 1:
+                pm |= 1 << j
+        partner_masks.append(pm)
+    full_tail = [(1 << k) - (1 << i) for i in range(k + 1)]
+    chosen = []
+    echelon = []
+
+    def reduce(v):
+        for e in echelon:
+            if (v >> (e.bit_length() - 1)) & 1:
+                v ^= e
+        return v
+
+    def search(start, chosen_mask, unpartnered):
+        depth = len(chosen)
+        if depth == n:
+            return unpartnered == 0
+        if k - start < n - depth:
+            return False
+        remaining = full_tail[start]
+        um = unpartnered
+        while um:
+            i = (um & -um).bit_length() - 1
+            um &= um - 1
+            if not partner_masks[i] & remaining:
+                return False
+        for idx in range(start, k):
+            red = reduce(candidates[idx])
+            if red == 0:
+                continue
+            new_unpartnered = unpartnered & ~partner_masks[idx]
+            if not partner_masks[idx] & chosen_mask:
+                new_unpartnered |= 1 << idx
+            chosen.append(idx)
+            echelon.append(red)
+            if search(idx + 1, chosen_mask | (1 << idx), new_unpartnered):
+                return True
+            chosen.pop()
+            echelon.pop()
+        return False
+
+    if search(0, 0, 0):
+        return AdmissibleBasis(tuple(BitVector(n, candidates[i]) for i in chosen))
+    return None
+
+
+def test_bruteforce_matches_reference_search():
+    rng = random.Random(RNG_SEED + 4)
+    forms = [q for dim in range(5) for q in all_forms(dim)]
+    for dim in (5, 6):
+        forms += [random_form(dim, rng) for _ in range(200)]
+        for _ in range(100):
+            m = rng.randrange(0, dim + 1)
+            forms.append(direct_sum(random_form(m, rng), zero_form(dim - m)))
+    found = 0
+    for q in forms:
+        basis = is_admissible_bruteforce(q)
+        assert basis == _reference_bruteforce(q), q.to_string()
+        found += basis is not None
+    assert 0 < found < len(forms)
 
 
 def test_bruteforce_is_deterministic():

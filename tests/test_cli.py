@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gexforms import verify
 from gexforms.cli import main
 from gexforms.verify import DEFAULT_SEED, get_seed, run_suite
 
@@ -10,6 +11,12 @@ H_PLUS = "l=2;d=00;u=1"
 Q_ONE = "l=1;d=1;u="
 HM_Q1 = "l=3;d=111;u=100"
 ZERO2 = "l=2;d=00;u=0"
+
+
+@pytest.fixture(scope="module")
+def suite_report():
+    """One run of the whole suite, shared by the CLI and the direct test."""
+    return run_suite()
 
 
 def run(capsys, *argv):
@@ -111,7 +118,8 @@ def test_en_bounds(capsys):
     assert code == 2
 
 
-def test_verify_paper_json(capsys):
+def test_verify_paper_json(capsys, monkeypatch, suite_report):
+    monkeypatch.setattr(verify, "run_suite", lambda: suite_report)
     code, out, _ = run(capsys, "verify-paper", "--json")
     assert code == 0
     lines = out.strip().splitlines()
@@ -139,8 +147,8 @@ def test_verify_paper_rejects_bad_seed(capsys, monkeypatch):
     assert get_seed() == DEFAULT_SEED
 
 
-def test_verify_suite_direct():
-    report = run_suite()
+def test_verify_suite_direct(suite_report):
+    report = suite_report
     assert report.ok
     assert report.passed == len(report.checks) == 8
     assert report.summary() == "8/8 checks passed"

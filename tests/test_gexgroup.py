@@ -79,13 +79,16 @@ def test_central_involution_is_central():
 
 
 def test_squares_and_orders():
-    g = from_form(h_minus())
-    q = g.form
-    for x in g.elements_packed():
-        v = x >> 1
-        expected_order = 1 if x == 0 else (4 if q.eval_bits(v) else 2)
-        assert g.porder(x) == expected_order
-        assert g.psquare(x) == q.eval_bits(v)
+    for dim in range(4):
+        for q in all_forms(dim):
+            g = from_form(q)
+            for x in g.elements_packed():
+                square = g.pmul(x, x)
+                # the group law squares each element into the central fiber, onto Q
+                assert square == q.eval_bits(x >> 1)
+                assert g.psquare(x) == square
+                expected_order = 1 if x == 0 else (4 if square else 2)
+                assert g.porder(x) == expected_order
 
 
 def test_q8_model_order_census():
@@ -157,12 +160,22 @@ def test_generalized_extraspecial_vs_bruteforce_frattini():
     for dim in range(5):
         for q in all_forms(dim):
             g = from_form(q)
-            comm = {
-                g.pcommutator(x, y)
-                for x in g.elements_packed()
-                for y in g.elements_packed()
-            }
-            sq = {g.psquare(x) for x in g.elements_packed()}
+            elements = g.elements_packed()
+            # pcommutator(x, y) = (xy)(x^-1 y^-1), as three applications of
+            # the packed law x * y = x ^ y ^ parity(R(x) & y) on tabulated
+            # cocycle rows R and inverses
+            rows = [g.cocycle_row(x) for x in elements]
+            inv = [g.pinv(x) for x in elements]
+            comm = set()
+            for x in elements:
+                rx, ix = rows[x], inv[x]
+                rix = rows[ix]
+                for y in elements:
+                    iy = inv[y]
+                    xy = x ^ y ^ ((rx & y).bit_count() & 1)
+                    ixiy = ix ^ iy ^ ((rix & iy).bit_count() & 1)
+                    comm.add(xy ^ ixiy ^ ((rows[xy] & ixiy).bit_count() & 1))
+            sq = {g.psquare(x) for x in elements}
             phi = comm | sq
             central = set(center(g))
             expected = (
