@@ -1,7 +1,7 @@
 """Exact computational algebra for quadratic forms over GF(2), their
 central-extension 2-groups, and the signed even Clifford groups E(n)."""
 
-from .f2linalg import BitMatrix, BitVector, kernel_basis, rank, symplectic_basis
+from .f2linalg import BitMatrix, kernel_basis, rank, symplectic_basis
 from .quadform import (
     FormClass,
     Isometry,
@@ -36,22 +36,11 @@ from .gexgroup import (
     iso_oracle,
     q_from_group,
 )
-from .clifford import (
-    CliffordElement,
-    clifford_mul,
-    e_group,
-    en_expected_class,
-    g0_form,
-    psi,
-    verify_en_table,
-    verify_psi,
-)
+from .clifford import en_expected_class, g0_form, verify_en_table, verify_psi
 
 __all__ = [
     "AdmissibleBasis",
     "BitMatrix",
-    "BitVector",
-    "CliffordElement",
     "FormClass",
     "GexGroup",
     "GroupClass",
@@ -63,10 +52,8 @@ __all__ = [
     "change_basis",
     "classify",
     "classify_group",
-    "clifford_mul",
     "direct_sum",
     "direct_z2",
-    "e_group",
     "en_expected_class",
     "from_form",
     "g0_form",
@@ -80,7 +67,6 @@ __all__ = [
     "kernel_basis",
     "normal_form_witness",
     "parse_form",
-    "psi",
     "q_from_group",
     "q_one",
     "rank",

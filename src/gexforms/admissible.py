@@ -11,39 +11,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .f2linalg import (
-    BitMatrix,
-    BitVector,
-    _row_image,
-    _transpose_rows,
-    is_invertible,
-)
+from .f2linalg import BitMatrix, _row_image, _transpose_rows, is_invertible
 from .quadform import Kind, QuadraticForm, classify, normal_form_witness
 
 
 @dataclass(frozen=True)
 class AdmissibleBasis:
-    """A basis with Q = 1 on every vector and a B_Q-partner for each vector."""
+    """A basis with Q = 1 on every vector and a B_Q-partner for each vector,
+    as packed vectors of the form's dimension."""
 
-    vectors: tuple[BitVector, ...]
+    vectors: tuple[int, ...]
 
 
 def check_basis(q: QuadraticForm, basis: AdmissibleBasis) -> bool:
     """Verify all three admissible-basis invariants by direct evaluation."""
     vs = basis.vectors
-    if len(vs) != q.dim or any(v.dim != q.dim for v in vs):
+    if len(vs) != q.dim or any(v >> q.dim for v in vs):
         return False
     if q.dim == 0:
         return False
-    if not is_invertible(BitMatrix.from_cols(list(vs))):
+    # The vectors as rows: rank does not change under transpose.
+    if not is_invertible(BitMatrix(q.dim, q.dim, vs)):
         return False
-    bits = [v.bits for v in vs]
     ev = q.eval_bits
-    if any(ev(b) != 1 for b in bits):
+    if any(ev(v) != 1 for v in vs):
         return False
     # Q = 1 on both, so B_Q(v, w) = Q(v + w) + Q(v) + Q(w) = Q(v + w).
-    for i, v in enumerate(bits):
-        if not any(ev(v ^ w) for j, w in enumerate(bits) if j != i):
+    for i, v in enumerate(vs):
+        if not any(ev(v ^ w) for j, w in enumerate(vs) if j != i):
             return False
     return True
 
@@ -102,7 +97,7 @@ def admissible_witness(q: QuadraticForm) -> AdmissibleBasis | None:
         std.append(1 | (1 << (2 * m)))
         std.extend(std[0] | (1 << (2 * m + 1 + j)) for j in range(m2 - 1))
     t = normal_form_witness(q).map
-    return AdmissibleBasis(tuple(t.matvec(BitVector(q.dim, w)) for w in std))
+    return AdmissibleBasis(tuple(t.matvec_bits(w) for w in std))
 
 
 BRUTEFORCE_DIM_CAP = 6
@@ -210,5 +205,5 @@ def is_admissible_bruteforce(q: QuadraticForm) -> AdmissibleBasis | None:
         return False
 
     if search(0, 0, 0):
-        return AdmissibleBasis(tuple(BitVector(n, candidates[i]) for i in chosen))
+        return AdmissibleBasis(tuple(candidates[i] for i in chosen))
     return None

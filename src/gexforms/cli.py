@@ -9,6 +9,7 @@ import sys
 
 from . import admissible as adm
 from . import clifford, gexgroup, quadform, verify
+from .f2linalg import BitMatrix
 
 CAPS_NOTE = (
     "caps: isometry oracle dim <= 4 (exhaustive GL search), admissibility "
@@ -55,16 +56,16 @@ def cmd_admissible(args) -> int:
         suffix = " (oracle agrees)"
     print(("ADMISSIBLE" if verdict else "NOT ADMISSIBLE") + suffix)
     if args.witness and verdict:
-        basis = adm.admissible_witness(q)
-        for v in basis.vectors:
-            print(f"  {v.to_string()}")
+        vectors = adm.admissible_witness(q).vectors
+        for row in BitMatrix(len(vectors), q.dim, vectors).to_strings():
+            print(f"  {row}")
     return 0
 
 
 def _group_summary(g: gexgroup.GexGroup) -> str:
     gc = gexgroup.classify_group(g)
     csize = len(gexgroup.center(g))
-    fsize = len(gexgroup.frattini(g))
+    fsize = gexgroup.frattini_order(g)
     return f"{gc.describe()}, order {g.order}, center {csize}, Frattini {fsize}"
 
 

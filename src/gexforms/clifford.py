@@ -1,10 +1,10 @@
 """The groups E(n) of signed even products of anticommuting generators.
 
 An element is a sign bit plus a subset of {1, ..., n} of even size (bit k of
-``subset`` stands for generator index k+1).  Multiplication is symmetric
-difference with a sign counting the transpositions needed to interleave the
-two sorted products, plus one flip per generator squared (each generator
-squares to -1).
+``subset`` stands for generator index k+1), packed into one int as
+``(subset << 1) | sign``.  Multiplication is symmetric difference with a sign
+counting the transpositions needed to interleave the two sorted products, plus
+one flip per generator squared (each generator squares to -1).
 
 That count is bilinear in the two subsets.  Moving e_j of t to the left past
 s costs one transposition per i in s with i > j, and one more flip if j is in
@@ -39,20 +39,6 @@ from .quadform import QuadraticForm, classify, direct_sum, zero_form
 MAX_N = 17
 
 
-@dataclass(frozen=True)
-class CliffordElement:
-    """sign: 0 for +, 1 for -; subset: even-size subset of generator indices."""
-
-    sign: int
-    subset: int
-
-    def __post_init__(self):
-        if self.sign not in (0, 1):
-            raise ValueError("sign must be 0 or 1")
-        if self.subset.bit_count() % 2:
-            raise ValueError("subset must have even size")
-
-
 def _sign_mask(s: int) -> int:
     """A(s) = s ^ XOR_{i in s} ((1 << i) - 1): bit j is the parity of the
     elements of s that are >= j."""
@@ -70,45 +56,6 @@ def _blade_mul(sa: int, s: int, sb: int, t: int) -> tuple[int, int]:
     return (sa ^ sb ^ ((_sign_mask(s) & t).bit_count() & 1), s ^ t)
 
 
-def clifford_mul(
-    a: CliffordElement, b: CliffordElement, n: int | None = None
-) -> CliffordElement:
-    if n is not None:
-        if a.subset >> n or b.subset >> n:
-            raise ValueError("subset index exceeds n")
-    sign, subset = _blade_mul(a.sign, a.subset, b.sign, b.subset)
-    return CliffordElement(sign, subset)
-
-
-IDENTITY = CliffordElement(0, 0)
-
-
-class EGroup:
-    """Handle for E(n): order 2^n, elements iterable, closed under clifford_mul."""
-
-    def __init__(self, n: int):
-        if not 2 <= n <= MAX_N:
-            raise ValueError(f"n must be in [2, {MAX_N}]")
-        self.n = n
-
-    @property
-    def order(self) -> int:
-        return 1 << self.n
-
-    def elements(self):
-        for subset in range(1 << self.n):
-            if subset.bit_count() % 2 == 0:
-                yield CliffordElement(0, subset)
-                yield CliffordElement(1, subset)
-
-    def mul(self, a: CliffordElement, b: CliffordElement) -> CliffordElement:
-        return clifford_mul(a, b, self.n)
-
-
-def e_group(n: int) -> EGroup:
-    return EGroup(n)
-
-
 def g0_form(n_minus_1: int) -> QuadraticForm:
     """The form with all diagonal values 1 and all polar coefficients 1.
 
@@ -121,22 +68,6 @@ def g0_form(n_minus_1: int) -> QuadraticForm:
     diag = (1 << l) - 1
     upper = tuple(((1 << l) - 1) ^ ((1 << (i + 1)) - 1) for i in range(l))
     return QuadraticForm(l, diag, upper)
-
-
-def psi(indices: list[int], n: int) -> CliffordElement:
-    """Map an ordered product of generators e_i (i < n) into E(n).
-
-    Even-length products map to themselves; odd-length products get e_n
-    appended (no sign change since n exceeds every index present).
-    """
-    sign, subset = 0, 0
-    for i in indices:
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"generator index {i} out of range [1, {n - 1}]")
-        sign, subset = _blade_mul(sign, subset, 0, 1 << (i - 1))
-    if len(indices) % 2:
-        subset |= 1 << (n - 1)
-    return CliffordElement(sign, subset)
 
 
 def _psi_packed(g: GexGroup, x: int, n: int) -> tuple[int, int]:

@@ -1,8 +1,9 @@
 """Exact linear algebra over GF(2) on word-packed vectors and matrices.
 
-Vectors are stored as plain Python ints (bit i = coordinate i), wrapped in
-small frozen dataclasses that carry the dimension.  Everything is immutable
-and pure; dimensions are capped at 64 so a vector always fits a machine word.
+A vector is a plain Python int (bit i = coordinate i) whose dimension the
+caller knows; a matrix is a frozen dataclass of packed rows.  Everything is
+immutable and pure; dimensions are capped at 64 so a vector always fits a
+machine word.
 """
 
 from __future__ import annotations
@@ -40,40 +41,6 @@ def _transpose_rows(rows, cols: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class BitVector:
-    """A vector in GF(2)^dim, coordinates packed into an int."""
-
-    dim: int
-    bits: int
-
-    def __post_init__(self):
-        if not 0 <= self.dim <= MAX_DIM:
-            raise ValueError(f"dimension {self.dim} out of range [0, {MAX_DIM}]")
-        if self.bits >> self.dim:
-            raise ValueError("bits set beyond dimension")
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.dim:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return BitVector(self.dim, self.bits ^ other.bits)
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def to_string(self) -> str:
-        return "".join(str((self.bits >> i) & 1) for i in range(self.dim))
-
-    @staticmethod
-    def zero(dim: int) -> "BitVector":
-        return BitVector(dim, 0)
-
-
-@dataclass(frozen=True)
 class BitMatrix:
     """A rows x cols matrix over GF(2); each row packed into an int (bit j = column j)."""
 
@@ -90,28 +57,11 @@ class BitMatrix:
             if r >> self.cols:
                 raise ValueError("row bits set beyond column count")
 
-    def col(self, j: int) -> BitVector:
-        bits = 0
-        for i in range(self.rows):
-            bits |= ((self.data[i] >> j) & 1) << i
-        return BitVector(self.rows, bits)
-
-    def matvec(self, v: BitVector) -> BitVector:
-        """Matrix-vector product Mv over GF(2)."""
-        if v.dim != self.cols:
-            raise ValueError("dimension mismatch")
-        return BitVector(self.rows, self.matvec_bits(v.bits))
-
     def matvec_bits(self, v: int) -> int:
         bits = 0
         for i in range(self.rows):
             bits |= _parity(self.data[i] & v) << i
         return bits
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix(
-            self.cols, self.rows, tuple(_transpose_rows(self.data, self.cols))
-        )
 
     @staticmethod
     def identity(n: int) -> "BitMatrix":
@@ -122,17 +72,11 @@ class BitMatrix:
         return BitMatrix(rows, cols, (0,) * rows)
 
     @staticmethod
-    def from_rows(rows: list[BitVector]) -> "BitMatrix":
-        if not rows:
-            raise ValueError("cannot infer column count from empty row list")
-        cols = rows[0].dim
-        if any(r.dim != cols for r in rows):
-            raise ValueError("inconsistent row dimensions")
-        return BitMatrix(len(rows), cols, tuple(r.bits for r in rows))
-
-    @staticmethod
-    def from_cols(cols: list[BitVector]) -> "BitMatrix":
-        return BitMatrix.from_rows(cols).transpose()
+    def from_cols(dim: int, cols: list[int]) -> "BitMatrix":
+        """The dim x len(cols) matrix whose column j is the packed vector cols[j]."""
+        if any(c >> dim for c in cols):
+            raise ValueError("column bits set beyond dimension")
+        return BitMatrix(dim, len(cols), tuple(_transpose_rows(cols, dim)))
 
     def to_strings(self) -> list[str]:
         return [
@@ -170,8 +114,9 @@ def rank(m: BitMatrix) -> int:
     return len(_row_reduce(m)[1])
 
 
-def kernel_basis(m: BitMatrix) -> list[BitVector]:
-    """A basis of the right kernel {v : Mv = 0}, in deterministic order.
+def kernel_basis(m: BitMatrix) -> list[int]:
+    """A basis of the right kernel {v : Mv = 0} as packed vectors of dimension
+    m.cols, in deterministic order.
 
     Reduces M to reduced row-echelon form; each free column yields one basis
     vector with a 1 in that column and back-substituted pivot entries.
@@ -186,7 +131,7 @@ def kernel_basis(m: BitMatrix) -> list[BitVector]:
         for pr, pc in enumerate(pivots):
             if (rows[pr] >> col) & 1:
                 bits |= 1 << pc
-        basis.append(BitVector(m.cols, bits))
+        basis.append(bits)
     return basis
 
 
@@ -196,15 +141,13 @@ def is_invertible(m: BitMatrix) -> bool:
     return rank(m) == m.rows
 
 
-def symplectic_basis(
-    b: BitMatrix,
-) -> tuple[list[tuple[BitVector, BitVector]], list[BitVector]]:
+def symplectic_basis(b: BitMatrix) -> tuple[list[tuple[int, int]], list[int]]:
     """Decompose an alternating bilinear form into hyperbolic pairs plus radical.
 
-    Returns (pairs, radical) where each pair (a_i, b_i) satisfies B(a_i, b_i) = 1,
-    B vanishes across distinct pairs and on/against the radical, and the pairs
-    together with the radical form a basis.  Deterministic: always grabs the
-    lowest-index available vector.
+    Returns (pairs, radical) as packed vectors of dimension b.rows, where each
+    pair (a_i, b_i) satisfies B(a_i, b_i) = 1, B vanishes across distinct pairs
+    and on/against the radical, and the pairs together with the radical form a
+    basis.  Deterministic: always grabs the lowest-index available vector.
 
     Word-level: each working vector travels with a row of B, so every test
     B(u, x) is one AND plus a popcount.  Validating the input costs
@@ -225,8 +168,8 @@ def symplectic_basis(
     # Be_i of its start.  The earlier pair vectors are B-orthogonal to every
     # vector still working, so parity(Be_i & x) = B(u, x) for those x.
     working = [(1 << i, rows[i]) for i in range(n)]
-    pairs: list[tuple[BitVector, BitVector]] = []
-    radical: list[BitVector] = []
+    pairs: list[tuple[int, int]] = []
+    radical: list[int] = []
     while working:
         v, pv = working[0]
         for k in range(1, len(working)):
@@ -234,10 +177,10 @@ def symplectic_basis(
             if (pv & w).bit_count() & 1:
                 break
         else:
-            radical.append(BitVector(n, v))
+            radical.append(v)
             working = working[1:]
             continue
-        pairs.append((BitVector(n, v), BitVector(n, w)))
+        pairs.append((v, w))
         rest = []
         for u, pu in working[1:k] + working[k + 1 :]:
             if (pu & w).bit_count() & 1:
@@ -261,7 +204,7 @@ def invertible_matrices(n: int) -> tuple[BitMatrix, ...]:
 
     def extend(cols: list[int], span: set[int]):
         if len(cols) == n:
-            results.append(BitMatrix.from_cols([BitVector(n, c) for c in cols]))
+            results.append(BitMatrix.from_cols(n, cols))
             return
         for c in range(1, 1 << n):
             if c in span:

@@ -120,7 +120,6 @@ class Center:
     the radical, and iterating yields the packed elements in sorted order.
     """
 
-    group: GexGroup
     radical: tuple[int, ...]
 
     def __len__(self) -> int:
@@ -136,22 +135,16 @@ class Center:
 
 
 def center(g: GexGroup) -> Center:
-    return Center(g, tuple(r.bits for r in kernel_basis(g.form.polar())))
+    return Center(tuple(kernel_basis(g.form.polar())))
 
 
-def commutator_subgroup(g: GexGroup) -> tuple[int, ...]:
-    return (0, 1) if any(g.form.polar().data) else (0,)
+def frattini_order(g: GexGroup) -> int:
+    """|Phi(G)| for Phi(G) = G^2 . [G,G], a 2-group's Frattini subgroup.
 
-
-def squares_subgroup(g: GexGroup) -> tuple[int, ...]:
-    return (0,) if g.form.is_zero_form() else (0, 1)
-
-
-def frattini(g: GexGroup) -> tuple[int, ...]:
-    """Phi(G) = G^2 . [G,G] for a 2-group; here both live in the central fiber."""
-    if len(squares_subgroup(g)) > 1 or len(commutator_subgroup(g)) > 1:
-        return (0, 1)
-    return (0,)
+    Both factors live in the central fiber {0, 1}, and a nonzero B_Q forces
+    a nonzero Q, so Phi(G) is trivial exactly when Q is the zero form.
+    """
+    return 1 if g.form.is_zero_form() else 2
 
 
 def is_generalized_extraspecial(g: GexGroup) -> bool:
@@ -178,7 +171,7 @@ def q_from_group(g: GexGroup) -> QuadraticForm:
 def central_product(g1: GexGroup, g2: GexGroup) -> GexGroup:
     """Amalgamate the central involutions: modeled as the form direct sum."""
     for g in (g1, g2):
-        if len(frattini(g)) == 1:
+        if frattini_order(g) == 1:
             raise ValueError(
                 "central product needs a nontrivial Frattini subgroup on each side"
             )
@@ -366,10 +359,6 @@ class TableGroup:
             r = g.cocycle_row(x)
             rows.append([x ^ y ^ ((r & y).bit_count() & 1) for y in elements])
         return cls(rows)
-
-    @classmethod
-    def from_table(cls, table) -> "TableGroup":
-        return cls(table)
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:

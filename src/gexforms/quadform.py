@@ -21,7 +21,6 @@ from operator import itemgetter
 from .f2linalg import (
     MAX_DIM,
     BitMatrix,
-    BitVector,
     _parity,
     _row_image,
     _transpose_rows,
@@ -63,11 +62,6 @@ class QuadraticForm:
 
     def eval_bits(self, v: int) -> int:
         return _parity((self.diag ^ _row_image(self.upper, v)) & v)
-
-    def __call__(self, v: BitVector) -> int:
-        if v.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return self.eval_bits(v.bits)
 
     @cached_property
     def value_table(self) -> tuple[int, ...]:
@@ -202,7 +196,7 @@ def change_basis(q: QuadraticForm, t: BitMatrix) -> QuadraticForm:
         raise ValueError("basis change must be square of matching dimension")
     if not is_invertible(t):
         raise ValueError("basis change must be invertible")
-    cols = [t.col(j).bits for j in range(n)]
+    cols = _transpose_rows(t.data, n)
     diag = 0
     upper = [0] * n
     for i in range(n):
@@ -265,11 +259,11 @@ def classify(q: QuadraticForm) -> FormClass:
     m1 = len(pairs)
     m2 = n - 2 * m1
     # Q restricted to the radical is linear, so basis values decide it.
-    if any(q.eval_bits(r.bits) for r in radical):
+    if any(q.eval_bits(r) for r in radical):
         return FormClass(n, m1, Kind.QONE, m2)
     arf = 0
     for a, b in pairs:
-        arf ^= q.eval_bits(a.bits) & q.eval_bits(b.bits)
+        arf ^= q.eval_bits(a) & q.eval_bits(b)
     return FormClass(n, m1, Kind.MINUS if arf else Kind.PLUS, m2)
 
 
@@ -311,13 +305,12 @@ def normal_form_witness(q: QuadraticForm) -> Isometry:
     n = q.dim
     if n == 0:
         return Isometry(BitMatrix.identity(0))
-    pairs_v, radical_v = symplectic_basis(q.polar())
+    pairs, rads = symplectic_basis(q.polar())
     ev = q.eval_bits
 
     plus: list[tuple[int, int]] = []
     minus: list[tuple[int, int]] = []
-    for av, bv in pairs_v:
-        a, b = av.bits, bv.bits
+    for a, b in pairs:
         qa, qb = ev(a), ev(b)
         if qa and qb:
             minus.append((a, b))
@@ -328,7 +321,6 @@ def normal_form_witness(q: QuadraticForm) -> Isometry:
         else:
             plus.append((a, b))
 
-    rads = [r.bits for r in radical_v]
     q_on_radical = any(ev(r) for r in rads)
 
     while len(minus) >= 2:
@@ -355,8 +347,7 @@ def normal_form_witness(q: QuadraticForm) -> Isometry:
             cols.extend((a, b))
         cols.extend(rads)
 
-    t = BitMatrix.from_cols([BitVector(n, c) for c in cols])
-    return Isometry(t)
+    return Isometry(BitMatrix.from_cols(n, cols))
 
 
 # -- exhaustive oracle --------------------------------------------------------

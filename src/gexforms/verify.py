@@ -181,7 +181,7 @@ def check_central_products():
     d8d8 = gexgroup.central_product(d8, d8)
     if q8q8.order != 32:
         return False, f"|Q8*Q8| = {q8q8.order}"
-    if len(gexgroup.frattini(q8q8)) != 2:
+    if gexgroup.frattini_order(q8q8) != 2:
         return False, "Frattini of a central product must have order 2"
     if gexgroup.classify_group(q8q8) != gexgroup.classify_group(d8d8):
         return False, "Q8*Q8 and D8*D8 classify differently"
@@ -236,7 +236,7 @@ def check_psi(max_exhaustive: int = 8, sampled: tuple[int, ...] = (9, 10)):
     for n in sampled:
         if not clifford.verify_psi(n, sample_pairs=1000, rng=rng):
             return False, f"generator map fails at n={n} (sampled)"
-    return True, f"exhaustive n<=%d, sampled n=%s" % (max_exhaustive, list(sampled))
+    return True, f"exhaustive n<={max_exhaustive}, sampled n={list(sampled)}"
 
 
 def check_en_table(n_max: int = 17):

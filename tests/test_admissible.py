@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gexforms.f2linalg import BitVector, _row_image
+from gexforms.f2linalg import _row_image
 from gexforms.admissible import (
     AdmissibleBasis,
     BRUTEFORCE_DIM_CAP,
@@ -55,27 +55,25 @@ def test_verdict_is_an_isometry_invariant():
 
 def test_check_basis_accepts_hand_built_example():
     # H-: both basis vectors already work -- Q(e1) = Q(e2) = 1, B(e1, e2) = 1.
-    basis = AdmissibleBasis((BitVector(2, 0b01), BitVector(2, 0b10)))
+    basis = AdmissibleBasis((0b01, 0b10))
     assert check_basis(h_minus(), basis)
 
 
 def test_check_basis_rejections():
     hm = h_minus()
     # dependent vectors
-    assert not check_basis(hm, AdmissibleBasis((BitVector(2, 1), BitVector(2, 1))))
+    assert not check_basis(hm, AdmissibleBasis((1, 1)))
     # wrong count
-    assert not check_basis(hm, AdmissibleBasis((BitVector(2, 1),)))
-    # wrong vector dimension
-    assert not check_basis(hm, AdmissibleBasis((BitVector(3, 1), BitVector(3, 2))))
+    assert not check_basis(hm, AdmissibleBasis((1,)))
+    # bits beyond dim
+    assert not check_basis(hm, AdmissibleBasis((0b01, 0b100)))
     # Q = 0 on a basis vector (e1 for H+)
     hp2 = direct_sum(h_plus(), h_plus())
-    assert not check_basis(
-        hp2, AdmissibleBasis(tuple(BitVector(4, 1 << i) for i in range(4)))
-    )
+    assert not check_basis(hp2, AdmissibleBasis(tuple(1 << i for i in range(4))))
     # all values 1 but e3 = (1,1,1) is B_Q-isolated: Q1 (+) Q1 (+) Q1
     q = sum_forms(q_one(), q_one(), q_one())
-    vs = (BitVector(3, 0b001), BitVector(3, 0b010), BitVector(3, 0b111))
-    assert all(q.eval_bits(v.bits) for v in vs)
+    vs = (0b001, 0b010, 0b111)
+    assert all(q.eval_bits(v) for v in vs)
     assert not check_basis(q, AdmissibleBasis(vs))
 
 
@@ -217,7 +215,7 @@ def _reference_bruteforce(q):
         return False
 
     if search(0, 0, 0):
-        return AdmissibleBasis(tuple(BitVector(n, candidates[i]) for i in chosen))
+        return AdmissibleBasis(tuple(candidates[i] for i in chosen))
     return None
 
 

@@ -11,6 +11,8 @@ H_PLUS = "l=2;d=00;u=1"
 Q_ONE = "l=1;d=1;u="
 HM_Q1 = "l=3;d=111;u=100"
 ZERO2 = "l=2;d=00;u=0"
+# H+^2 + Q1 + 0 behind a random change of basis
+HIDDEN6 = "l=6;d=101101;u=010111001000001"
 
 
 @pytest.fixture(scope="module")
@@ -32,13 +34,33 @@ def test_classify_h_minus(capsys):
     assert lines[0] == "H- (m1=1, kind=Minus, m2=0)"
     assert lines[1] == f"normal-form: {H_MINUS}"
     assert lines[2] == "witness:"
-    assert len(lines) == 5  # two matrix rows follow
+    assert lines[3:] == ["  10", "  01"]
 
 
 def test_classify_mixed_form(capsys):
     code, out, _ = run(capsys, "classify", HM_Q1)
     assert code == 0
-    assert out.splitlines()[0] == "H+ + Q1 (m1=1, kind=QOne, m2=1)"
+    assert out.splitlines() == [
+        "H+ + Q1 (m1=1, kind=QOne, m2=1)",
+        "normal-form: l=3;d=001;u=100",
+        "witness:",
+        "  100",
+        "  010",
+        "  111",
+    ]
+    code, out, _ = run(capsys, "classify", HIDDEN6)
+    assert code == 0
+    assert out.splitlines() == [
+        "H+^2 + Q1 + 0 (m1=2, kind=QOne, m2=2)",
+        "normal-form: l=6;d=000010;u=100000000100000",
+        "witness:",
+        "  010101",
+        "  111001",
+        "  101001",
+        "  000011",
+        "  110100",
+        "  000001",
+    ]
 
 
 def test_classify_bad_form(capsys):
@@ -58,9 +80,18 @@ def test_admissible_verdicts(capsys):
 def test_admissible_witness_and_oracle(capsys):
     code, out, _ = run(capsys, "admissible", H_MINUS, "--witness", "--oracle")
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "ADMISSIBLE (oracle agrees)"
-    assert len(lines) == 3  # two basis vectors follow
+    assert out.splitlines() == ["ADMISSIBLE (oracle agrees)", "  11", "  10"]
+    code, out, _ = run(capsys, "admissible", HIDDEN6, "--witness", "--oracle")
+    assert code == 0
+    assert out.splitlines() == [
+        "ADMISSIBLE (oracle agrees)",
+        "  101000",
+        "  111010",
+        "  100000",
+        "  001010",
+        "  011110",
+        "  010101",
+    ]
 
 
 def test_admissible_oracle_cap(capsys):

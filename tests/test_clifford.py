@@ -4,16 +4,12 @@ import pytest
 
 from gexforms import clifford
 from gexforms.clifford import (
-    IDENTITY,
-    CliffordElement,
     EnTableRow,
     _blade_mul,
-    clifford_mul,
-    e_group,
+    _psi_packed,
     en_computed_class,
     en_expected_class,
     g0_form,
-    psi,
     verify_en_table,
     verify_psi,
 )
@@ -21,29 +17,38 @@ from gexforms.gexgroup import BaseKind, GroupClass, from_form
 from gexforms.quadform import classify, FormClass, Kind, QuadraticForm
 
 RNG_SEED = 271828
+MINUS_ONE = 1  # packed (subset << 1) | sign: the empty product with sign -
 
 
-def test_element_validation():
-    with pytest.raises(ValueError):
-        CliffordElement(0, 0b1)  # odd subset size
-    with pytest.raises(ValueError):
-        CliffordElement(2, 0b11)
-    CliffordElement(1, 0b101)  # fine: {e1, e3}
+def blade(subset, sign=0):
+    return (subset << 1) | sign
+
+
+def mul(x, y):
+    """The E(n) product of packed elements, through the blade product."""
+    sign, subset = _blade_mul(x & 1, x >> 1, y & 1, y >> 1)
+    return blade(subset, sign)
+
+
+def elements(n):
+    """Every packed element of E(n): both signs of each even subset."""
+    evens = [s for s in range(1 << n) if s.bit_count() % 2 == 0]
+    return [blade(s, sign) for s in evens for sign in (0, 1)]
 
 
 def test_generator_pair_squares_to_minus_one():
     # (e1 e2)^2 = e1 e2 e1 e2 = -e1 e1 e2 e2 = -(-1)(-1) = -1
-    x = CliffordElement(0, 0b11)
-    assert clifford_mul(x, x) == CliffordElement(1, 0)
+    x = blade(0b11)
+    assert mul(x, x) == MINUS_ONE
 
 
 def test_disjoint_pairs_commute_or_anticommute():
-    a = CliffordElement(0, 0b0011)  # e1 e2
-    b = CliffordElement(0, 0b1100)  # e3 e4
-    assert clifford_mul(a, b) == clifford_mul(b, a)  # even grades commute here
-    c = CliffordElement(0, 0b0110)  # e2 e3: shares one generator with each
-    ac, ca = clifford_mul(a, c), clifford_mul(c, a)
-    assert ac.subset == ca.subset and ac.sign != ca.sign
+    a = blade(0b0011)  # e1 e2
+    b = blade(0b1100)  # e3 e4
+    assert mul(a, b) == mul(b, a)  # even grades commute here
+    c = blade(0b0110)  # e2 e3: shares one generator with each
+    ac, ca = mul(a, c), mul(c, a)
+    assert ac ^ ca == MINUS_ONE  # same subset, opposite signs
 
 
 def _blade_mul_reference(sa, s, sb, t):
@@ -69,44 +74,33 @@ def test_blade_mul_matches_transposition_count():
 
 
 def test_known_product_signs():
-    e12 = CliffordElement(0, 0b0011)
-    e34 = CliffordElement(0, 0b1100)
-    assert clifford_mul(e12, e34) == CliffordElement(0, 0b1111)
-    e13 = CliffordElement(0, 0b0101)
-    e23 = CliffordElement(0, 0b0110)
+    e12 = blade(0b0011)
+    e34 = blade(0b1100)
+    assert mul(e12, e34) == blade(0b1111)
+    e13 = blade(0b0101)
+    e23 = blade(0b0110)
     # (e1 e3)(e2 e3) = -e1 e2 e3 e3 = +e1 e2: one swap, then e3^2 = -1
-    assert clifford_mul(e13, e23) == CliffordElement(0, 0b0011)
+    assert mul(e13, e23) == blade(0b0011)
 
 
 def test_group_axioms_exhaustive_e4():
-    g = e_group(4)
-    elems = list(g.elements())
-    assert len(elems) == g.order == 16
+    elems = elements(4)
+    assert len(elems) == len(set(elems)) == 16
     for x in elems:
-        assert g.mul(IDENTITY, x) == x == g.mul(x, IDENTITY)
+        assert mul(0, x) == x == mul(x, 0)
     rng = random.Random(RNG_SEED)
     for _ in range(300):
         x, y, z = (rng.choice(elems) for _ in range(3))
-        assert g.mul(g.mul(x, y), z) == g.mul(x, g.mul(y, z))
+        assert mul(mul(x, y), z) == mul(x, mul(y, z))
     for x in elems:
-        assert any(g.mul(x, y) == IDENTITY for y in elems)
+        assert any(mul(x, y) == 0 for y in elems)
 
 
 def test_e_group_closure_small():
-    g = e_group(3)
-    elems = set(g.elements())
+    elems = set(elements(3))
     for x in elems:
         for y in elems:
-            assert g.mul(x, y) in elems
-
-
-def test_e_group_bounds():
-    with pytest.raises(ValueError):
-        e_group(1)
-    with pytest.raises(ValueError):
-        e_group(18)
-    with pytest.raises(ValueError):
-        e_group(2).mul(IDENTITY, CliffordElement(0, 0b110))
+            assert mul(x, y) in elems
 
 
 def test_g0_form_class():
@@ -121,37 +115,52 @@ def test_g0_form_class():
     assert classify(g0_form(2)) == FormClass(2, 1, Kind.MINUS, 0)
 
 
+def word_element(g, word):
+    """The packed cocycle-model element of a word in the generators e_1 ..
+    e_{n-1}, each the lift 1 << i of its basis vector."""
+    x = 0
+    for i in word:
+        x = g.pmul(x, 1 << i)
+    return x
+
+
 def test_psi_generator_images():
     n = 5
+    g = from_form(g0_form(n - 1))
     # even product maps to itself
-    assert psi([1, 2], n) == CliffordElement(0, 0b00011)
+    assert _psi_packed(g, word_element(g, [1, 2]), n) == (0, 0b00011)
     # odd product picks up e_n
-    assert psi([3], n) == CliffordElement(0, 0b10100)
+    assert _psi_packed(g, word_element(g, [3]), n) == (0, 0b10100)
     # sign tracking: e2 e1 = -e1 e2
-    assert psi([2, 1], n) == CliffordElement(1, 0b00011)
-    with pytest.raises(ValueError):
-        psi([5], 5)  # only e_1 .. e_{n-1} are generators here
+    assert _psi_packed(g, word_element(g, [2, 1]), n) == (1, 0b00011)
 
 
 def test_psi_images_land_in_en():
     n = 6
-    g = e_group(n)
-    elems = set(g.elements())
+    g = from_form(g0_form(n - 1))
+    elems = set(elements(n))
     rng = random.Random(RNG_SEED + 1)
     for _ in range(100):
         word = [rng.randrange(1, n) for _ in range(rng.randrange(0, 6))]
-        assert psi(word, n) in elems
+        sign, subset = _psi_packed(g, word_element(g, word), n)
+        assert blade(subset, sign) in elems
 
 
 def test_psi_respects_products():
     n = 6
+    g = from_form(g0_form(n - 1))
+
+    def image(x):
+        sign, subset = _psi_packed(g, x, n)
+        return blade(subset, sign)
+
     rng = random.Random(RNG_SEED + 2)
     for _ in range(100):
         w1 = [rng.randrange(1, n) for _ in range(rng.randrange(0, 5))]
         w2 = [rng.randrange(1, n) for _ in range(rng.randrange(0, 5))]
-        if (len(w1) % 2, len(w2) % 2) == (1, 1):
-            continue  # odd*odd picks up e_n^2 = -1 relative to concatenation
-        assert psi(w1 + w2, n) == clifford_mul(psi(w1, n), psi(w2, n))
+        x1, x2 = word_element(g, w1), word_element(g, w2)
+        assert word_element(g, w1 + w2) == g.pmul(x1, x2)
+        assert image(g.pmul(x1, x2)) == mul(image(x1), image(x2))
 
 
 def test_verify_psi_exhaustive_small():
@@ -185,7 +194,7 @@ def test_verify_psi_detects_a_wrong_form(monkeypatch):
 
 def test_en_order_matches_presented_group():
     for n in range(2, 9):
-        assert e_group(n).order == from_form(g0_form(n - 1)).order == 1 << n
+        assert len(elements(n)) == from_form(g0_form(n - 1)).order == 1 << n
 
 
 def test_expected_classes_by_residue():

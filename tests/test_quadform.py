@@ -1,10 +1,11 @@
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gexforms.f2linalg import BitMatrix, BitVector, invertible_matrices
+from gexforms.f2linalg import BitMatrix, invertible_matrices
 from gexforms.quadform import (
     FormClass,
     Kind,
@@ -224,14 +225,25 @@ def test_oracle_witness_is_a_real_isometry():
         assert change_basis(q2, w.map) == q
 
 
+@lru_cache(maxsize=None)
+def _matvec_images(n):
+    """(T, [Tv for v = 0..2^n-1]) for each T of invertible_matrices(n), in
+    order: one matvec_bits per vector and matrix, computed once per dim."""
+    vectors = range(1 << n)
+    return tuple(
+        (t, [t.matvec_bits(v) for v in vectors]) for t in invertible_matrices(n)
+    )
+
+
 def _reference_oracle(q, q2):
-    """The old isometry_oracle loop: one matvec_bits per vector and matrix."""
+    """The old isometry_oracle loop, comparing q2(Tv) with q(v) vector by
+    vector for every T, with no value-count reject."""
     n = q.dim
     if n == 0:
         return BitMatrix.identity(0).data
     t1, t2 = q.value_table, q2.value_table
-    for t in invertible_matrices(n):
-        if all(t2[t.matvec_bits(v)] == t1[v] for v in range(1 << n)):
+    for t, images in _matvec_images(n):
+        if all(t2[images[v]] == t1[v] for v in range(1 << n)):
             return t.data
     return None
 
