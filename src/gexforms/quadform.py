@@ -197,12 +197,14 @@ def change_basis(q: QuadraticForm, t: BitMatrix) -> QuadraticForm:
     if not is_invertible(t):
         raise ValueError("basis change must be invertible")
     cols = _transpose_rows(t.data, n)
+    polar = q.polar().data
     diag = 0
     upper = [0] * n
     for i in range(n):
         diag |= q.eval_bits(cols[i]) << i
+        img = _row_image(polar, cols[i])  # B_Q(Te_i, w) = parity(img & w)
         for j in range(i + 1, n):
-            upper[i] |= q.bilinear_bits(cols[i], cols[j]) << j
+            upper[i] |= _parity(img & cols[j]) << j
     return QuadraticForm(n, diag, tuple(upper))
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +169,22 @@ def test_verify_paper_json(capsys, monkeypatch, suite_report):
     assert "admissibility-theorem-vs-search" in names
 
 
+def test_closed_stdout_exits_1_without_traceback():
+    """`verify-paper --json | head` must not print a BrokenPipeError
+    traceback: the reader is gone before the first record is written."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    with subprocess.Popen(
+        [sys.executable, "-m", "gexforms.cli", "verify-paper", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (1, b"")
+
+
 def test_verify_paper_rejects_bad_seed(capsys, monkeypatch):
     for raw in ("abc", " 7 ", "7\n", "\u0667", "+7", "1.5"):
         monkeypatch.setenv("GEXFORMS_SEED", raw)
@@ -193,6 +213,6 @@ def test_verify_suite_direct(suite_report):
         ("group-form-dictionary", "3 tables + 50 random products"),
         ("central-product-identities", "orders, Frattini, and order-32 isomorphism"),
         ("group-model-laws", "16932 element pairs"),
-        ("clifford-presentation-iso", "exhaustive n<=8, sampled n=[9, 10]"),
+        ("clifford-presentation-iso", "generator proof n=2..10"),
         ("clifford-mod8-table", "16 rows, n=2..17"),
     ]

@@ -4,9 +4,12 @@ import pytest
 
 from gexforms import clifford
 from gexforms.clifford import (
+    MAX_N,
     EnTableRow,
     _blade_mul,
-    _psi_packed,
+    _generator_lifts,
+    _psi_images,
+    _sign_mask,
     en_computed_class,
     en_expected_class,
     g0_form,
@@ -124,72 +127,158 @@ def word_element(g, word):
     return x
 
 
+def psi_table(n):
+    """The cocycle model of the presented group and its psi image table."""
+    g = from_form(g0_form(n - 1))
+    return g, _psi_images(_generator_lifts(g))
+
+
 def test_psi_generator_images():
     n = 5
-    g = from_form(g0_form(n - 1))
+    g, images = psi_table(n)
     # even product maps to itself
-    assert _psi_packed(g, word_element(g, [1, 2]), n) == (0, 0b00011)
+    assert images[word_element(g, [1, 2])] == 0b00011 << 1
     # odd product picks up e_n
-    assert _psi_packed(g, word_element(g, [3]), n) == (0, 0b10100)
+    assert images[word_element(g, [3])] == 0b10100 << 1
     # sign tracking: e2 e1 = -e1 e2
-    assert _psi_packed(g, word_element(g, [2, 1]), n) == (1, 0b00011)
+    assert images[word_element(g, [2, 1])] == (0b00011 << 1) | 1
 
 
 def test_psi_images_land_in_en():
     n = 6
-    g = from_form(g0_form(n - 1))
+    g, images = psi_table(n)
     elems = set(elements(n))
     rng = random.Random(RNG_SEED + 1)
     for _ in range(100):
         word = [rng.randrange(1, n) for _ in range(rng.randrange(0, 6))]
-        sign, subset = _psi_packed(g, word_element(g, word), n)
-        assert blade(subset, sign) in elems
+        assert images[word_element(g, word)] in elems
 
 
 def test_psi_respects_products():
     n = 6
-    g = from_form(g0_form(n - 1))
-
-    def image(x):
-        sign, subset = _psi_packed(g, x, n)
-        return blade(subset, sign)
-
+    g, images = psi_table(n)
     rng = random.Random(RNG_SEED + 2)
     for _ in range(100):
         w1 = [rng.randrange(1, n) for _ in range(rng.randrange(0, 5))]
         w2 = [rng.randrange(1, n) for _ in range(rng.randrange(0, 5))]
         x1, x2 = word_element(g, w1), word_element(g, w2)
         assert word_element(g, w1 + w2) == g.pmul(x1, x2)
-        assert image(g.pmul(x1, x2)) == mul(image(x1), image(x2))
+        assert images[g.pmul(x1, x2)] == mul(images[x1], images[x2])
+
+
+def psi_per_element(g, x, n):
+    """psi of one packed element, word by word: the sign and subset of the
+    blade product of the generators of x, e_n appended when x is odd, and the
+    central power read off the ascending product of the lifts."""
+    v, eps = x >> 1, x & 1
+    sign, subset = 0, 0
+    lift_product = 0
+    w = v
+    while w:
+        i = (w & -w).bit_length() - 1
+        w &= w - 1
+        sign, subset = _blade_mul(sign, subset, 0, 1 << i)
+        lift_product = g.pmul(lift_product, 1 << (i + 1))
+    if v.bit_count() % 2:
+        subset |= 1 << (n - 1)
+    return blade(subset, sign ^ eps ^ (lift_product & 1))
+
+
+def psi_all_pairs(n):
+    """The homomorphism check on all 4^n element pairs, with images built
+    element by element: an independent route to verify_psi's verdict."""
+    g = from_form(clifford.g0_form(n - 1))
+    images = [psi_per_element(g, x, n) for x in g.elements_packed()]
+    if len(set(images)) != g.order:
+        return False
+    if any((image >> 1).bit_count() % 2 for image in images):
+        return False
+    for x in g.elements_packed():
+        rx = g.cocycle_row(x)
+        px = images[x]
+        ax = clifford._sign_mask(px >> 1) << 1
+        for y in g.elements_packed():
+            py = images[y]
+            if images[x ^ y ^ ((rx & y).bit_count() & 1)] != px ^ py ^ (
+                (ax & py).bit_count() & 1
+            ):
+                return False
+    return True
+
+
+def flipped_polar(n_minus_1):
+    """g0_form with one polar coefficient flipped: e_1 and e_2 commute."""
+    q = g0_form(n_minus_1)
+    return QuadraticForm(q.dim, q.diag, (q.upper[0] ^ 0b10,) + q.upper[1:])
+
+
+def flipped_diagonal(n_minus_1):
+    """g0_form with Q(e_1) = 0: e_1 squares to the identity."""
+    q = g0_form(n_minus_1)
+    return QuadraticForm(q.dim, q.diag ^ 1, q.upper)
+
+
+def non_additive_sign_mask(s):
+    """The sign mask with bit 0 flipped on subsets of size 4: it agrees with
+    A on the subsets of size 0 and 2 that the generator images use, so only
+    the additivity premise can tell it apart."""
+    return _sign_mask(s) ^ (s.bit_count() == 4)  # the imported, unpatched A
+
+
+def test_psi_table_matches_per_element_images():
+    for n in range(2, 13):
+        g, images = psi_table(n)
+        assert images == [psi_per_element(g, x, n) for x in g.elements_packed()]
+
+
+def test_verify_psi_agrees_with_all_pairs_reference(monkeypatch):
+    for n in range(2, 9):
+        assert verify_psi(n) and psi_all_pairs(n)
+    # (attribute, mutant, smallest n it applies to, smallest n it breaks):
+    # the size-4 mask flip changes nothing below n = 4.
+    mutants = [
+        ("g0_form", flipped_polar, 3, 3),
+        ("g0_form", flipped_diagonal, 2, 2),
+        ("_sign_mask", non_additive_sign_mask, 2, 4),
+    ]
+    for name, mutant, lo, broken in mutants:
+        with monkeypatch.context() as m:
+            m.setattr(clifford, name, mutant)
+            verdicts = [(verify_psi(n), psi_all_pairs(n)) for n in range(lo, 9)]
+        assert verdicts == [(n < broken, n < broken) for n in range(lo, 9)], name
+
+
+def test_verify_psi_rejects_non_additive_mask_by_the_premise(monkeypatch):
+    monkeypatch.setattr(clifford, "_sign_mask", non_additive_sign_mask)
+    for n in (4, 5, 9, 12):
+        assert not clifford._sign_mask_is_additive(n)
+        assert not verify_psi(n)
+    # The generator law checks alone pass: only the premise rejects the mask.
+    monkeypatch.setattr(clifford, "_sign_mask_is_additive", lambda n: True)
+    for n in (4, 5, 9, 12):
+        assert verify_psi(n)
+    assert not psi_all_pairs(5)
 
 
 def test_verify_psi_exhaustive_small():
-    for n in range(2, 7):
+    for n in range(2, 8):
         assert verify_psi(n)
 
 
-def test_verify_psi_sampled():
-    rng = random.Random(RNG_SEED + 3)
-    assert verify_psi(9, sample_pairs=200, rng=rng)
-    with pytest.raises(ValueError):
-        verify_psi(9, sample_pairs=10)  # sampling needs an rng
-    with pytest.raises(ValueError):
-        verify_psi(11)
+def test_verify_psi_proves_max_n_and_enforces_bounds():
+    assert MAX_N == 17
+    assert verify_psi(17)
+    for n in (1, 18):
+        with pytest.raises(ValueError):
+            verify_psi(n)
 
 
 def test_verify_psi_detects_a_wrong_form(monkeypatch):
     # One polar coefficient flipped: e_1 and e_2 commute in the model but
     # their images anticommute, so the map is no homomorphism.
-    def flipped(n_minus_1):
-        q = g0_form(n_minus_1)
-        upper = (q.upper[0] ^ 0b10,) + q.upper[1:]
-        return QuadraticForm(q.dim, q.diag, upper)
-
-    monkeypatch.setattr(clifford, "g0_form", flipped)
-    for n in range(3, 10):
+    monkeypatch.setattr(clifford, "g0_form", flipped_polar)
+    for n in list(range(3, 13)) + [17]:
         assert not verify_psi(n)
-    rng = random.Random(RNG_SEED + 4)
-    assert not verify_psi(10, sample_pairs=1000, rng=rng)
 
 
 def test_en_order_matches_presented_group():

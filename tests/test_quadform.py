@@ -163,6 +163,36 @@ def test_classify_invariant_under_basis_change():
         assert classify(change_basis(q, t)) == classify(q)
 
 
+def _change_basis_reference(q, t):
+    """Q(Tv) datum by datum: diagonal Q(Te_i), polar B_Q(Te_i, Te_j) read
+    through three evaluations of Q."""
+    n = q.dim
+    cols = [
+        sum(((t.data[r] >> i) & 1) << r for r in range(n)) for i in range(n)
+    ]
+    diag = 0
+    upper = [0] * n
+    for i in range(n):
+        diag |= q.eval_bits(cols[i]) << i
+        for j in range(i + 1, n):
+            upper[i] |= q.bilinear_bits(cols[i], cols[j]) << j
+    return QuadraticForm(n, diag, tuple(upper))
+
+
+def test_change_basis_matches_bilinear_loop():
+    rng = random.Random(RNG_SEED + 9)
+    cases = [(dim, 15) for dim in range(21)] + [(64, 1)]
+    for dim, count in cases:
+        for _ in range(count):
+            q = random_form(dim, rng)
+            t = random_invertible(dim, rng)
+            assert change_basis(q, t) == _change_basis_reference(q, t)
+    with pytest.raises(ValueError):
+        change_basis(h_plus(), BitMatrix.identity(3))
+    with pytest.raises(ValueError):
+        change_basis(h_plus(), BitMatrix(2, 2, (0b11, 0b11)))
+
+
 def test_standard_form_round_trips_through_classify():
     for dim in range(5):
         for q in all_forms(dim):
