@@ -58,11 +58,6 @@ def _sign_mask(s: int) -> int:
     return a
 
 
-def _blade_mul(sa: int, s: int, sb: int, t: int) -> tuple[int, int]:
-    """Multiply two signed blades (no evenness constraint)."""
-    return (sa ^ sb ^ ((_sign_mask(s) & t).bit_count() & 1), s ^ t)
-
-
 def g0_form(n_minus_1: int) -> QuadraticForm:
     """The form with all diagonal values 1 and all polar coefficients 1.
 

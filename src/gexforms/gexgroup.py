@@ -331,15 +331,17 @@ def form_from_table(
     return QuadraticForm(n, diag, tuple(upper))
 
 
-# -- brute-force isomorphism oracle ---------------------------------------------
+# -- table-level isomorphism oracle ----------------------------------------------
 
 
 class TableGroup:
-    """A finite group given by its multiplication table on range(order)."""
+    """A finite 2-group given by its multiplication table on range(order)."""
 
     def __init__(self, table):
         self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
+        if self.order & (self.order - 1):
+            raise ValueError("table groups must have 2-power order")
         elements = tuple(range(self.order))
         self.identity = next(
             x for x, row in enumerate(self.table) if row == elements
@@ -347,17 +349,26 @@ class TableGroup:
 
     @classmethod
     def from_gex(cls, g: GexGroup) -> "TableGroup":
-        """The table of g, one cocycle row per left factor; raises ValueError
-        above ISO_ORACLE_ORDER_CAP, where it would need order^2 entries."""
+        """The table of g; raises ValueError above ISO_ORACLE_ORDER_CAP, where
+        it would need order^2 entries.
+
+        Row x is built by doubling: with c_b = (1 << b) ^ bit b of R(x), the
+        entry at y | (1 << b) for y < 2^b is the entry at y XOR c_b.  Rows x
+        and x ^ 1 share R(x), so the odd row is the even one XOR 1.
+        """
         if g.order > ISO_ORACLE_ORDER_CAP:
             raise ValueError(
                 f"multiplication tables capped at order {ISO_ORACLE_ORDER_CAP}"
             )
-        elements = range(g.order)
         rows = []
-        for x in elements:
+        for x in range(0, g.order, 2):
             r = g.cocycle_row(x)
-            rows.append([x ^ y ^ ((r & y).bit_count() & 1) for y in elements])
+            row = [x]
+            for b in range(g.dim + 1):
+                c = (1 << b) ^ ((r >> b) & 1)
+                row += [z ^ c for z in row]
+            rows.append(row)
+            rows.append([z ^ 1 for z in row])
         return cls(rows)
 
     @cached_property
@@ -373,29 +384,46 @@ class TableGroup:
         return tuple(orders)
 
     @cached_property
-    def center_size(self) -> int:
-        return sum(row == col for row, col in zip(self.table, zip(*self.table)))
+    def central(self) -> tuple[bool, ...]:
+        """central[x]: x commutes with every element (its row is its column)."""
+        return tuple(row == col for row, col in zip(self.table, zip(*self.table)))
 
-    def generating_set(self) -> list[int]:
+    @cached_property
+    def center_size(self) -> int:
+        return sum(self.central)
+
+    @cached_property
+    def frattini(self) -> frozenset[int]:
+        """Phi(G) = <x^2 : x in G>.  G/<G^2> has exponent 2, so it is abelian
+        and <G^2> contains [G, G]: for a 2-group this is the Frattini
+        subgroup G^2 [G, G]."""
         t = self.table
+        squares = {t[x][x] for x in range(self.order)}
+        phi = {self.identity}
+        frontier = [self.identity]
+        while frontier:
+            y = frontier.pop()
+            for s in squares:
+                z = t[y][s]
+                if z not in phi:
+                    phi.add(z)
+                    frontier.append(z)
+        return frozenset(phi)
+
+    @cached_property
+    def basis(self) -> tuple[int, ...]:
+        """Greedy generators, each outside the span of Phi and the earlier ones:
+        a basis of G/Phi, so they generate G (Burnside's basis theorem).  The
+        span is a subgroup containing Phi, hence normal with an abelian
+        exponent-2 quotient, and adding x grows it to span | span.x."""
+        t = self.table
+        span = set(self.frattini)
         gens: list[int] = []
-        span = {self.identity}
         for x in range(self.order):
-            if x in span:
-                continue
-            gens.append(x)
-            frontier = [self.identity]
-            span = {self.identity}
-            while frontier:
-                y = frontier.pop()
-                for g in gens:
-                    z = t[y][g]
-                    if z not in span:
-                        span.add(z)
-                        frontier.append(z)
-            if len(span) == self.order:
-                break
-        return gens
+            if x not in span:
+                gens.append(x)
+                span |= {t[s][x] for s in span}
+        return tuple(gens)
 
 
 def _try_generator_images(g1: TableGroup, g2: TableGroup, gens, imgs):
@@ -421,46 +449,87 @@ def _try_generator_images(g1: TableGroup, g2: TableGroup, gens, imgs):
 
 
 def _is_full_isomorphism(g1: TableGroup, g2: TableGroup, m) -> bool:
+    """m is a bijection G1 -> G2 with m(xy) = m(x) m(y) for every x and y:
+    row x of G1's table mapped through m is row m(x) of G2's read at m(y)."""
     if len(m) != g1.order:
         return False
-    t1, t2 = g1.table, g2.table
-    items = list(m.items())
+    f = [m[x] for x in range(g1.order)]
+    if len(set(f)) != g2.order:
+        return False
+    t2 = g2.table
     return all(
-        m[t1[x][y]] == t2[fx][fy] for x, fx in items for y, fy in items
+        list(map(f.__getitem__, row)) == list(map(t2[fx].__getitem__, f))
+        for row, fx in zip(g1.table, f)
     )
 
 
 def iso_oracle_tables(g1: TableGroup, g2: TableGroup) -> bool:
-    """Exhaustive generator-image isomorphism search with order-census pruning."""
+    """Exhaustive search over the images of a basis of G1 modulo Phi(G1).
+
+    An isomorphism f is fixed by the images h_i of the basis g_i, and every
+    filter below is a property that f must have, so no isomorphism is pruned:
+
+    - f preserves element orders and the center, so the order censuses,
+      the center sizes and the Frattini orders agree, and h_i has the order
+      and the centrality of g_i;
+    - Phi is characteristic, so f induces an isomorphism G1/Phi -> G2/Phi
+      and maps the basis to a basis: h_i lies outside <Phi(G2), h_1..h_(i-1)>
+      because g_i lies outside <Phi(G1), g_1..g_(i-1)>;
+    - f(g_i g_j) = h_i h_j, so h_i commutes with h_j exactly when g_i
+      commutes with g_j, and h_i h_j has the order of g_i g_j.
+
+    Each surviving partial assignment is closed over the subgroup its
+    generators span and dropped on a conflict or a collision; a full
+    assignment must then pass the whole table check ``_is_full_isomorphism``.
+    """
     if g1.order != g2.order:
         return False
     if g1.order > ISO_ORACLE_ORDER_CAP:
         raise ValueError(f"isomorphism oracle capped at order {ISO_ORACLE_ORDER_CAP}")
-    if Counter(g1.element_orders) != Counter(g2.element_orders):
+    o1, o2 = g1.element_orders, g2.element_orders
+    if Counter(o1) != Counter(o2):
         return False
     if g1.center_size != g2.center_size:
         return False
-    gens = g1.generating_set()
-    by_order: dict[int, list[int]] = {}
-    for x in range(g2.order):
-        by_order.setdefault(g2.element_orders[x], []).append(x)
-    candidates = [by_order.get(g1.element_orders[g], []) for g in gens]
+    if len(g1.frattini) != len(g2.frattini):
+        return False
+    t1, t2 = g1.table, g2.table
+    z1, z2 = g1.central, g2.central
+    gens = g1.basis
+    # For g_i: the elements of G2 with its order and centrality, and for each
+    # earlier g_j whether the two commute and the order of g_i g_j.
+    by_key: dict[tuple[int, bool], list[int]] = {}
+    for h in range(g2.order):
+        by_key.setdefault((o2[h], z2[h]), []).append(h)
+    candidates = [by_key.get((o1[g], z1[g]), []) for g in gens]
+    relations = [
+        [(t1[g][gj] == t1[gj][g], o1[t1[g][gj]]) for gj in gens[:i]]
+        for i, g in enumerate(gens)
+    ]
 
-    def extend(depth: int, imgs: list[int]) -> bool:
+    def extend(depth: int, imgs: list[int], span: frozenset[int], m) -> bool:
         if depth == len(gens):
-            m = _try_generator_images(g1, g2, gens, imgs)
-            return m is not None and _is_full_isomorphism(g1, g2, m)
+            return _is_full_isomorphism(g1, g2, m)
+        rels = relations[depth]
         for h in candidates[depth]:
-            partial = _try_generator_images(
-                g1, g2, gens[: depth + 1], imgs + [h]
-            )
+            if h in span:
+                continue
+            row = t2[h]
+            if any(
+                (row[hj] == t2[hj][h], o2[row[hj]]) != rel
+                for hj, rel in zip(imgs, rels)
+            ):
+                continue
+            images = imgs + [h]
+            partial = _try_generator_images(g1, g2, gens[: depth + 1], images)
             if partial is None:
                 continue
-            if extend(depth + 1, imgs + [h]):
+            grown = span | {t2[s][h] for s in span}
+            if extend(depth + 1, images, grown, partial):
                 return True
         return False
 
-    return extend(0, [])
+    return extend(0, [], g2.frattini, {g1.identity: g2.identity})
 
 
 def iso_oracle(g1: GexGroup, g2: GexGroup) -> bool:
