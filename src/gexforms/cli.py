@@ -72,7 +72,11 @@ def _group_summary(g: gexgroup.GexGroup) -> str:
 
 def cmd_group(args) -> int:
     q = _parse_form_or_exit(args.form)
-    g = gexgroup.from_form(q)
+    try:
+        g = gexgroup.from_form(q)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(_group_summary(g))
     return 0
 

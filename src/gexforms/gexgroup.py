@@ -9,6 +9,12 @@ Squares recover Q and commutators recover B_Q, so the group determines the
 form and vice versa.  Elements are packed ints (vec << 1) | central: 0 is the
 identity and 1 the central involution.
 
+``q_from_group`` reads the form through ``pmul`` alone.  For the lifts x, y
+of e_i, e_j, Q(e_i) is x * x, and since xy = [x, y] yx with [x, y] central in
+{0, 1}, B_Q(e_i, e_j) is xy XOR yx.  The hand-written Q8, D8 and Z4 tables
+below are tied to H-, H+ and Q1 by ``iso_oracle_tables``, which compares
+each with the table of the model of its form and reads no form itself.
+
 On packed ints the law is one XOR plus a parity.  For x = (u, eps) let R(x)
 be the XOR of the cocycle rows M_i over the set bits i of u, shifted left by
 one so that it skips the central bit of y; then
@@ -80,18 +86,6 @@ class GexGroup:
         v = x >> 1
         return (v << 1) | ((x ^ self.form.eval_bits(v)) & 1)
 
-    def psquare(self, x: int) -> int:
-        return self.pmul(x, x)
-
-    def pcommutator(self, x: int, y: int) -> int:
-        gh = self.pmul(x, y)
-        return self.pmul(gh, self.pmul(self.pinv(x), self.pinv(y)))
-
-    def porder(self, x: int) -> int:
-        if x == 0:
-            return 1
-        return 4 if self.pmul(x, x) else 2
-
     def elements_packed(self):
         return range(self.order)
 
@@ -156,15 +150,17 @@ def is_generalized_extraspecial(g: GexGroup) -> bool:
 
 
 def q_from_group(g: GexGroup) -> QuadraticForm:
-    """Reconstruct the form from squares of lifts and commutators."""
+    """Read the form off the group law alone: Q(e_i) is x * x and
+    B_Q(e_i, e_j) is xy XOR yx, for the lifts x, y of e_i, e_j."""
     n = g.dim
+    lifts = [1 << (i + 1) for i in range(n)]  # packed (e_i, 0)
     diag = 0
     upper = [0] * n
-    for i in range(n):
-        ei = 1 << (i + 1)  # packed lift (e_i, 0)
-        diag |= g.psquare(ei) << i
+    for i, x in enumerate(lifts):
+        diag |= g.pmul(x, x) << i
         for j in range(i + 1, n):
-            upper[i] |= (g.pcommutator(ei, 1 << (j + 1)) & 1) << j
+            y = lifts[j]
+            upper[i] |= (g.pmul(x, y) ^ g.pmul(y, x)) << j
     return QuadraticForm(n, diag, tuple(upper))
 
 
@@ -245,9 +241,9 @@ def classify_group(g: GexGroup) -> GroupClass:
 
 
 # -- reference multiplication tables -------------------------------------------
-# Index tables for the two extraspecial atoms, with the designated central
-# involution.  Q8 elements: 1, -1, i, -i, j, -j, k, -k (central: -1 at index 1).
-# D8 elements: e, r, r^2, r^3, s, rs, r^2 s, r^3 s (central: r^2 at index 2).
+# Index tables for the two extraspecial atoms and Z4, independent of any form.
+# Q8 elements: 1, -1, i, -i, j, -j, k, -k.  D8 elements: e, r, r^2, r^3, s, rs,
+# r^2 s, r^3 s.  Z4 elements: 0, 1, 2, 3 under addition mod 4.
 
 Q8_TABLE = (
     (0, 1, 2, 3, 4, 5, 6, 7),
@@ -259,7 +255,6 @@ Q8_TABLE = (
     (6, 7, 4, 5, 3, 2, 1, 0),
     (7, 6, 5, 4, 2, 3, 0, 1),
 )
-Q8_CENTRAL = 1
 
 D8_TABLE = (
     (0, 1, 2, 3, 4, 5, 6, 7),
@@ -271,65 +266,8 @@ D8_TABLE = (
     (6, 5, 4, 7, 2, 1, 0, 3),
     (7, 6, 5, 4, 3, 2, 1, 0),
 )
-D8_CENTRAL = 2
 
 Z4_TABLE = tuple(tuple((a + b) % 4 for b in range(4)) for a in range(4))
-Z4_CENTRAL = 2
-
-
-def form_from_table(
-    table: tuple[tuple[int, ...], ...], central: int
-) -> QuadraticForm:
-    """Extract the squaring form of an explicit group table over its central
-    involution: pick coset representatives for G/<c>, a basis among them, then
-    read Q off squares and B_Q off commutators."""
-    size = len(table)
-    identity = next(
-        i for i in range(size) if all(table[i][j] == j for j in range(size))
-    )
-    if table[central][central] != identity or central == identity:
-        raise ValueError("central element must be an involution")
-    if any(table[central][x] != table[x][central] for x in range(size)):
-        raise ValueError("designated element is not central")
-
-    def inv_of(x: int) -> int:
-        return next(y for y in range(size) if table[x][y] == identity)
-
-    # Cosets of <c>, keyed by their smaller member.
-    coset_of = {x: min(x, table[central][x]) for x in range(size)}
-    reps = sorted(set(coset_of.values()))
-    if len(reps) * 2 != size:
-        raise ValueError("central involution does not halve the group")
-
-    # Greedy basis over the elementary abelian quotient.
-    span = {coset_of[identity]}
-    basis: list[int] = []
-    for r in reps:
-        if coset_of[r] in span:
-            continue
-        basis.append(r)
-        span = span | {coset_of[table[s][r]] for s in span}
-    n = len(basis)
-    if 1 << n != len(reps):
-        raise ValueError("quotient by the central involution is not elementary abelian")
-
-    diag = 0
-    upper = [0] * n
-    for i, gi in enumerate(basis):
-        sq = table[gi][gi]
-        if sq == central:
-            diag |= 1 << i
-        elif sq != identity:
-            raise ValueError("squares must land in the central subgroup")
-        for j in range(i + 1, n):
-            gj = basis[j]
-            comm = table[table[gi][gj]][table[inv_of(gi)][inv_of(gj)]]
-            if comm == central:
-                upper[i] |= 1 << j
-            elif comm != identity:
-                raise ValueError("commutators must land in the central subgroup")
-    return QuadraticForm(n, diag, tuple(upper))
-
 
 # -- table-level isomorphism oracle ----------------------------------------------
 

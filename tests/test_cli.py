@@ -123,6 +123,15 @@ def test_group_summary(capsys):
     assert out.strip() == "Z4 x Z2^15, order 131072, center 131072, Frattini 2"
 
 
+def test_group_dimension_cap(capsys):
+    """A form above the group dimension cap exits 2 with one error line, as
+    central-product does, not with a traceback."""
+    zero17 = "l=17;d=" + "0" * 17 + ";u=" + "0" * 136
+    code, out, err = run(capsys, "group", zero17)
+    assert (code, out) == (2, "")
+    assert err == "error: group dimension capped at 16\n"
+
+
 def test_central_product(capsys):
     code, out, _ = run(capsys, "central-product", H_MINUS, H_MINUS)
     assert code == 0

@@ -2,25 +2,22 @@ import random
 
 import pytest
 
-from gexforms import verify
+from gexforms import gexgroup, verify
 from gexforms.f2linalg import kernel_basis
 from gexforms.gexgroup import (
+    FROM_FORM_DIM_CAP,
     BaseKind,
-    D8_CENTRAL,
     D8_TABLE,
     GexGroup,
     GroupClass,
-    Q8_CENTRAL,
     Q8_TABLE,
     TableGroup,
-    Z4_CENTRAL,
     Z4_TABLE,
     _try_generator_images,
     center,
     central_product,
     classify_group,
     direct_z2,
-    form_from_table,
     frattini_order,
     from_form,
     group_class_of_form_class,
@@ -33,13 +30,13 @@ from gexforms.gexgroup import (
 from gexforms.quadform import (
     FormClass,
     Kind,
+    QuadraticForm,
     all_forms,
     change_basis,
     classify,
     direct_sum,
     h_minus,
     h_plus,
-    is_isometric,
     q_one,
     random_form,
     random_invertible,
@@ -80,6 +77,15 @@ def test_central_involution_is_central():
         assert g.pmul(c, x) == g.pmul(x, c)
 
 
+def _order(g, x):
+    """The order of x, by repeated multiplication with pmul."""
+    y, o = x, 1
+    while y:
+        y = g.pmul(y, x)
+        o += 1
+    return o
+
+
 def test_squares_and_orders():
     for dim in range(4):
         for q in all_forms(dim):
@@ -88,21 +94,20 @@ def test_squares_and_orders():
                 square = g.pmul(x, x)
                 # the group law squares each element into the central fiber, onto Q
                 assert square == q.eval_bits(x >> 1)
-                assert g.psquare(x) == square
                 expected_order = 1 if x == 0 else (4 if square else 2)
-                assert g.porder(x) == expected_order
+                assert _order(g, x) == expected_order
 
 
 def test_q8_model_order_census():
     # Q8: one identity, one involution, six elements of order 4.
     g = from_form(h_minus())
-    orders = sorted(g.porder(x) for x in g.elements_packed())
+    orders = sorted(_order(g, x) for x in g.elements_packed())
     assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
 
 
 def test_d8_model_order_census():
     g = from_form(h_plus())
-    orders = sorted(g.porder(x) for x in g.elements_packed())
+    orders = sorted(_order(g, x) for x in g.elements_packed())
     assert orders == [1, 2, 2, 2, 2, 2, 4, 4]
 
 
@@ -147,8 +152,8 @@ def test_generalized_extraspecial_vs_bruteforce_frattini():
         for q in all_forms(dim):
             g = from_form(q)
             elements = g.elements_packed()
-            # pcommutator(x, y) = (xy)(x^-1 y^-1), as three applications of
-            # the packed law x * y = x ^ y ^ parity(R(x) & y) on tabulated
+            # the commutator (xy)(x^-1 y^-1), as three applications of the
+            # packed law x * y = x ^ y ^ parity(R(x) & y) on tabulated
             # cocycle rows R and inverses
             rows = [g.cocycle_row(x) for x in elements]
             inv = [g.pinv(x) for x in elements]
@@ -161,7 +166,7 @@ def test_generalized_extraspecial_vs_bruteforce_frattini():
                     xy = x ^ y ^ ((rx & y).bit_count() & 1)
                     ixiy = ix ^ iy ^ ((rix & iy).bit_count() & 1)
                     comm.add(xy ^ ixiy ^ ((rows[xy] & ixiy).bit_count() & 1))
-            sq = {g.psquare(x) for x in elements}
+            sq = {g.pmul(x, x) for x in elements}
             phi = comm | sq
             assert frattini_order(g) == len(phi)
             central = set(center(g))
@@ -171,10 +176,19 @@ def test_generalized_extraspecial_vs_bruteforce_frattini():
             assert is_generalized_extraspecial(g) == expected
 
 
-def test_form_round_trips_through_group():
+def test_form_round_trips_through_group(monkeypatch):
+    """q_from_group reads the form off the group law alone, so it recovers
+    every form up to the dimension cap with form evaluation switched off."""
     rng = random.Random(RNG_SEED + 2)
-    for _ in range(50):
-        q = random_form(rng.randrange(0, 8), rng)
+    forms = [
+        random_form(dim, rng) for dim in range(FROM_FORM_DIM_CAP + 1) for _ in range(4)
+    ]
+
+    def no_eval(self, v):
+        raise AssertionError("q_from_group evaluated the form")
+
+    monkeypatch.setattr(QuadraticForm, "eval_bits", no_eval)
+    for q in forms:
         assert q_from_group(from_form(q)) == q
 
 
@@ -200,21 +214,6 @@ def test_central_product_form_and_order():
     assert prod.form == direct_sum(h_minus(), h_plus())
     with pytest.raises(ValueError):
         central_product(q8, from_form(zero_form(2)))
-
-
-def test_reference_tables_carry_expected_forms():
-    assert is_isometric(form_from_table(Q8_TABLE, Q8_CENTRAL), h_minus())
-    assert is_isometric(form_from_table(D8_TABLE, D8_CENTRAL), h_plus())
-    assert is_isometric(form_from_table(Z4_TABLE, Z4_CENTRAL), q_one())
-
-
-def test_form_from_table_rejects_bad_central():
-    with pytest.raises(ValueError):
-        form_from_table(Q8_TABLE, 0)  # identity, not an involution
-    with pytest.raises(ValueError):
-        form_from_table(Q8_TABLE, 2)  # order 4
-    with pytest.raises(ValueError):
-        form_from_table(D8_TABLE, 4)  # an involution, but not central
 
 
 def test_models_match_reference_tables():
@@ -373,6 +372,15 @@ def test_direct_z2_pads_radical():
     fc = classify(g.form)
     assert fc == FormClass(5, 1, Kind.MINUS, 3)
     assert classify_group(g) == GroupClass(BaseKind.Q8_POWER, 1, 3)
+
+
+def test_dictionary_detects_a_wrong_reference_table(monkeypatch):
+    """check_dictionary proves each reference table isomorphic to the model of
+    its form, so a D8 table standing in for Q8 must fail it and name Q8."""
+    monkeypatch.setattr(gexgroup, "Q8_TABLE", D8_TABLE)
+    ok, detail = verify.check_dictionary()
+    assert not ok
+    assert detail.startswith("Q8 table")
 
 
 def test_group_laws_detects_a_broken_law(monkeypatch):
