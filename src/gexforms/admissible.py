@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .f2linalg import BitMatrix, _row_image, _transpose_rows, is_invertible
-from .quadform import Kind, QuadraticForm, classify, normal_form_witness
+from .quadform import FormClass, Kind, QuadraticForm, classify, normal_form_witness
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,20 @@ def _plus_case_basis(m: int) -> list[int]:
     return vs
 
 
+def _standard_basis(fc: FormClass) -> list[int]:
+    """The admissible basis of standard_form(fc), for an admissible class."""
+    m, m2 = fc.m1, fc.m2
+    if fc.kind is Kind.MINUS:
+        return _minus_case_basis(m, m2)
+    std = _plus_case_basis(m)
+    if fc.kind is Kind.PLUS:
+        std.extend(std[0] | (1 << (2 * m + j)) for j in range(m2))
+    else:  # QOne, m >= 2
+        std.append(1 | (1 << (2 * m)))
+        std.extend(std[0] | (1 << (2 * m + 1 + j)) for j in range(m2 - 1))
+    return std
+
+
 def admissible_witness(q: QuadraticForm) -> AdmissibleBasis | None:
     """A concrete admissible basis for q, or None.
 
@@ -85,19 +99,12 @@ def admissible_witness(q: QuadraticForm) -> AdmissibleBasis | None:
     """
     if not is_admissible(q):
         return None
-    fc = classify(q)
-    m, m2 = fc.m1, fc.m2
-    if fc.kind is Kind.MINUS:
-        std = _minus_case_basis(m, m2)
-    elif fc.kind is Kind.PLUS:
-        std = _plus_case_basis(m)
-        std.extend(std[0] | (1 << (2 * m + j)) for j in range(m2))
-    else:  # QOne, m >= 2
-        std = _plus_case_basis(m)
-        std.append(1 | (1 << (2 * m)))
-        std.extend(std[0] | (1 << (2 * m + 1 + j)) for j in range(m2 - 1))
+    std = _standard_basis(classify(q))
+    # Tw is the XOR of the columns of T selected by the bits of w, and each
+    # standard vector w has at most three set bits.
     t = normal_form_witness(q).map
-    return AdmissibleBasis(tuple(t.matvec_bits(w) for w in std))
+    cols = _transpose_rows(t.data, q.dim)
+    return AdmissibleBasis(tuple(_row_image(cols, w) for w in std))
 
 
 BRUTEFORCE_DIM_CAP = 6

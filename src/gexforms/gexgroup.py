@@ -82,10 +82,6 @@ class GexGroup:
     def pmul(self, x: int, y: int) -> int:
         return x ^ y ^ _parity(self.cocycle_row(x) & y)
 
-    def pinv(self, x: int) -> int:
-        v = x >> 1
-        return (v << 1) | ((x ^ self.form.eval_bits(v)) & 1)
-
     def elements_packed(self):
         return range(self.order)
 

@@ -77,7 +77,7 @@ class QuadraticForm:
         """The associated alternating bilinear form B_Q as a symmetric matrix.
 
         B_Q = U + U^T for the strictly upper-triangular U = ``upper``; the
-        transpose walks set bits, so this costs O(dim + set bits).
+        transpose is log2(w) delta swaps on one packed w x w block, w <= 64.
         """
         n = self.dim
         lower = _transpose_rows(self.upper, n)

@@ -199,9 +199,10 @@ def check_group_laws(max_dim: int = 3):
 
     Squares go through ``pmul``.  Each commutator (xy)(x^-1 y^-1) is three
     applications of the packed law x * y = x ^ y ^ parity(R(x) & y), reading
-    R(x) from ``cocycle_row`` and x^-1 from ``pinv``, both tabulated once per
-    group; it must equal B_Q(u, v) = parity(P(u) & v), where P(u) is the row
-    image of u under the polar form.
+    R(x) from ``cocycle_row``; it must equal B_Q(u, v) = parity(P(u) & v),
+    where P(u) is the row image of u under the polar form.  The inverse comes
+    from the law too: x^2 is central in {0, 1}, so x^-1 = x * x^2 = x ^ x^2.
+    Rows, squares and inverses are tabulated once per group.
     """
     checked = 0
     for dim in range(max_dim + 1):
@@ -209,10 +210,11 @@ def check_group_laws(max_dim: int = 3):
             g = gexgroup.from_form(q)
             elements = g.elements_packed()
             rows = [g.cocycle_row(x) for x in elements]
-            inv = [g.pinv(x) for x in elements]
+            squares = [g.pmul(x, x) for x in elements]
+            inv = [x ^ sq for x, sq in zip(elements, squares)]
             polar = q.polar().data
             for x in elements:
-                if g.pmul(x, x) != q.eval_bits(x >> 1):
+                if squares[x] != q.eval_bits(x >> 1):
                     return False, f"squaring law at {q.to_string()}"
                 rx, ix = rows[x], inv[x]
                 rix = rows[ix]

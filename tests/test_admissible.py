@@ -6,6 +6,7 @@ from gexforms.f2linalg import _row_image
 from gexforms.admissible import (
     AdmissibleBasis,
     BRUTEFORCE_DIM_CAP,
+    _standard_basis,
     admissible_witness,
     check_basis,
     is_admissible,
@@ -14,9 +15,11 @@ from gexforms.admissible import (
 from gexforms.quadform import (
     all_forms,
     change_basis,
+    classify,
     direct_sum,
     h_minus,
     h_plus,
+    normal_form_witness,
     q_one,
     random_form,
     random_invertible,
@@ -96,6 +99,29 @@ def test_witness_random_larger_dims():
             found += 1
             assert check_basis(q, w)
     assert found > 0
+
+
+def test_witness_pull_back_matches_matvec():
+    """The witness is the standard basis pulled back through the normal-form
+    map T, column by column; matvec_bits (one parity per row) is the
+    reference, over dims 4..64 and every admissible kind."""
+    rng = random.Random(RNG_SEED + 2)
+    kinds = set()
+    for dim in range(4, 65):
+        m = rng.randrange(2, dim // 2 + 1)
+        hidden = random_invertible(dim, rng)
+        for q in (
+            random_form(dim, rng),
+            change_basis(direct_sum(random_form(m, rng), zero_form(dim - m)), hidden),
+        ):
+            w = admissible_witness(q)
+            if w is None:
+                continue
+            fc = classify(q)
+            kinds.add(fc.kind)
+            t = normal_form_witness(q).map
+            assert w.vectors == tuple(t.matvec_bits(v) for v in _standard_basis(fc))
+    assert len(kinds) == 3
 
 
 def test_witness_each_admissible_class_shape():

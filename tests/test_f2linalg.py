@@ -4,6 +4,7 @@ import pytest
 
 from gexforms.f2linalg import (
     BitMatrix,
+    _transpose_rows,
     is_invertible,
     kernel_basis,
     rank,
@@ -85,6 +86,7 @@ def test_kernel_vectors_annihilate_and_are_independent():
     # the kernel vectors, in order, match the reference bit for bit.
     shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (3, 7), (7, 3), (8, 8), (16, 16)]
     shapes += [(33, 20), (20, 33), (64, 64)]
+    shapes += [(64, k) for k in (1, 7, 40)] + [(k, 64) for k in (1, 7, 40)]
     for rows, cols in shapes:
         for sparse in (False, True):
             for _ in range(20):
@@ -97,6 +99,34 @@ def test_kernel_vectors_annihilate_and_are_independent():
                 m = BitMatrix(rows, cols, tuple(data))
                 got = (rank(m), kernel_basis(m))
                 assert got == _reference_rank_and_kernel(m), m.data
+
+
+def _reference_transpose_rows(rows, cols):
+    """The set-bit walk that _transpose_rows replaced, kept as the reference."""
+    data = [0] * cols
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            j = row.bit_length() - 1
+            row ^= 1 << j
+            data[j] |= bit
+    return data
+
+
+def test_transpose_rows_matches_reference_on_every_shape():
+    rng = random.Random(19)
+    for rows in range(65):
+        for cols in range(65):
+            full = (1 << cols) - 1
+            cases = [
+                [rng.getrandbits(cols) if cols else 0 for _ in range(rows)],
+                [full] * rows,
+                [1 << rng.randrange(cols) if cols else 0 for _ in range(rows)],
+            ]
+            for data in cases:
+                got = _transpose_rows(data, cols)
+                assert got == _reference_transpose_rows(data, cols), (rows, cols)
+                assert type(got) is list
 
 
 def test_is_invertible():
@@ -177,6 +207,9 @@ def test_from_cols_places_columns_and_rejects_bits_beyond_dim():
     assert BitMatrix.from_cols(2, [0b01, 0b11, 0b10]).data == (0b011, 0b110)
     with pytest.raises(ValueError):
         BitMatrix.from_cols(2, [0b01, 0b100])
+    for dim, cols in ((65, []), (2, [0] * 65)):
+        with pytest.raises(ValueError, match="dimensions out of range"):
+            BitMatrix.from_cols(dim, cols)
 
 
 def test_symplectic_rejects_non_alternating():

@@ -62,8 +62,9 @@ def test_group_axioms_exhaustive_small():
         g = from_form(q)
         elems = list(g.elements_packed())
         for x in elems:
-            assert g.pmul(x, g.pinv(x)) == 0
-            assert g.pmul(g.pinv(x), x) == 0
+            inv = x ^ g.pmul(x, x)  # x^2 is central in {0, 1}
+            assert g.pmul(x, inv) == 0
+            assert g.pmul(inv, x) == 0
         for _ in range(100):
             x, y, z = (rng.choice(elems) for _ in range(3))
             assert g.pmul(g.pmul(x, y), z) == g.pmul(x, g.pmul(y, z))
@@ -154,9 +155,9 @@ def test_generalized_extraspecial_vs_bruteforce_frattini():
             elements = g.elements_packed()
             # the commutator (xy)(x^-1 y^-1), as three applications of the
             # packed law x * y = x ^ y ^ parity(R(x) & y) on tabulated
-            # cocycle rows R and inverses
+            # cocycle rows R and inverses x^-1 = x ^ x^2
             rows = [g.cocycle_row(x) for x in elements]
-            inv = [g.pinv(x) for x in elements]
+            inv = [x ^ g.pmul(x, x) for x in elements]
             comm = set()
             for x in elements:
                 rx, ix = rows[x], inv[x]
@@ -384,9 +385,12 @@ def test_dictionary_detects_a_wrong_reference_table(monkeypatch):
 
 
 def test_group_laws_detects_a_broken_law(monkeypatch):
-    """check_group_laws reads pinv, so an inverse without its eval_bits
-    correction (x^-1 = x) must fail it and name the form."""
-    monkeypatch.setattr(GexGroup, "pinv", lambda self, x: x)
+    """check_group_laws takes x^-1 = x ^ x^2 from pmul, so a law whose squares
+    are all trivial (then x^-1 = x) must fail it and name the form."""
+    law = GexGroup.pmul
+    monkeypatch.setattr(
+        GexGroup, "pmul", lambda self, x, y: 0 if x == y else law(self, x, y)
+    )
     ok, detail = verify.check_group_laws(max_dim=2)
     prefix = "commutator law at "
     assert not ok
