@@ -21,7 +21,6 @@ from .quadform import (
     zero_form,
 )
 from .admissible import (
-    AdmissibleBasis,
     admissible_witness,
     is_admissible,
     is_admissible_bruteforce,
@@ -39,7 +38,6 @@ from .gexgroup import (
 from .clifford import en_expected_class, g0_form, verify_en_table, verify_psi
 
 __all__ = [
-    "AdmissibleBasis",
     "BitMatrix",
     "FormClass",
     "GexGroup",

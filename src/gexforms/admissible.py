@@ -9,23 +9,14 @@ independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .f2linalg import BitMatrix, _row_image, _transpose_rows, is_invertible
 from .quadform import FormClass, Kind, QuadraticForm, classify, normal_form_witness
 
 
-@dataclass(frozen=True)
-class AdmissibleBasis:
-    """A basis with Q = 1 on every vector and a B_Q-partner for each vector,
-    as packed vectors of the form's dimension."""
-
-    vectors: tuple[int, ...]
-
-
-def check_basis(q: QuadraticForm, basis: AdmissibleBasis) -> bool:
-    """Verify all three admissible-basis invariants by direct evaluation."""
-    vs = basis.vectors
+def check_basis(q: QuadraticForm, vs: tuple[int, ...]) -> bool:
+    """Verify all three admissible-basis invariants by direct evaluation:
+    vs is a basis of packed vectors, Q = 1 on each, and each has a
+    B_Q-partner among the others."""
     if len(vs) != q.dim or any(v >> q.dim for v in vs):
         return False
     if q.dim == 0:
@@ -46,15 +37,9 @@ def check_basis(q: QuadraticForm, basis: AdmissibleBasis) -> bool:
 def is_admissible(q: QuadraticForm) -> bool:
     """Classification-based verdict: zero summands never matter, and the
     admissible classes are exactly Plus with m1 >= 2, any Minus, and QOne
-    with m1 >= 2."""
+    with m1 >= 2 (the Zero class has m1 = 0)."""
     fc = classify(q)
-    if fc.kind is Kind.ZERO:
-        return False
-    if fc.kind is Kind.MINUS:
-        return True
-    if fc.kind is Kind.PLUS:
-        return fc.m1 >= 2
-    return fc.m1 >= 2  # QOne
+    return fc.kind is Kind.MINUS or fc.m1 >= 2
 
 
 def _minus_case_basis(m: int, m2: int) -> list[int]:
@@ -91,8 +76,8 @@ def _standard_basis(fc: FormClass) -> list[int]:
     return std
 
 
-def admissible_witness(q: QuadraticForm) -> AdmissibleBasis | None:
-    """A concrete admissible basis for q, or None.
+def admissible_witness(q: QuadraticForm) -> tuple[int, ...] | None:
+    """A concrete admissible basis for q as packed vectors, or None.
 
     Builds the explicit basis for the standard representative, then pulls it
     back through the normal-form change of basis.
@@ -104,21 +89,21 @@ def admissible_witness(q: QuadraticForm) -> AdmissibleBasis | None:
     # standard vector w has at most three set bits.
     t = normal_form_witness(q).map
     cols = _transpose_rows(t.data, q.dim)
-    return AdmissibleBasis(tuple(_row_image(cols, w) for w in std))
+    return tuple(_row_image(cols, w) for w in std)
 
 
 BRUTEFORCE_DIM_CAP = 6
 
 
-def is_admissible_bruteforce(q: QuadraticForm) -> AdmissibleBasis | None:
+def is_admissible_bruteforce(q: QuadraticForm) -> tuple[int, ...] | None:
     """Backtracking search for an admissible basis straight from the definition.
 
     Candidates are the vectors with Q = 1; the search walks increasing vector
     values while maintaining linear independence, and prunes a branch as soon
     as some chosen vector can no longer find a B_Q-partner.  Returns the
-    lexicographically first basis, or None.  The search grows about 3x per
-    added dimension, so it is capped: raises ValueError above
-    BRUTEFORCE_DIM_CAP.
+    lexicographically first basis as packed vectors, or None.  The search
+    grows about 3x per added dimension, so it is capped: raises ValueError
+    above BRUTEFORCE_DIM_CAP.
 
     One pass over GF(2)^n tabulates Q(v) and the polar row image P(v), each
     from w = v ^ e_i, v without its low bit e_i, at one XOR:
@@ -212,5 +197,5 @@ def is_admissible_bruteforce(q: QuadraticForm) -> AdmissibleBasis | None:
         return False
 
     if search(0, 0, 0):
-        return AdmissibleBasis(tuple(candidates[i] for i in chosen))
+        return tuple(candidates[i] for i in chosen)
     return None

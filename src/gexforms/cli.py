@@ -57,7 +57,7 @@ def cmd_admissible(args) -> int:
         suffix = " (oracle agrees)"
     print(("ADMISSIBLE" if verdict else "NOT ADMISSIBLE") + suffix)
     if args.witness and verdict:
-        vectors = adm.admissible_witness(q).vectors
+        vectors = adm.admissible_witness(q)
         for row in BitMatrix(len(vectors), q.dim, vectors).to_strings():
             print(f"  {row}")
     return 0

@@ -147,7 +147,7 @@ def verify_psi(n: int) -> bool:
         rs = g.cocycle_row(s)
         ps = images[s]
         a_s = _sign_mask(ps >> 1) << 1
-        for y in g.elements_packed():
+        for y in range(g.order):
             py = images[y]
             if images[s ^ y ^ ((rs & y).bit_count() & 1)] != ps ^ py ^ (
                 (a_s & py).bit_count() & 1

@@ -107,10 +107,6 @@ class BitMatrix:
         return BitMatrix(n, n, tuple(1 << i for i in range(n)))
 
     @staticmethod
-    def zero(rows: int, cols: int) -> "BitMatrix":
-        return BitMatrix(rows, cols, (0,) * rows)
-
-    @staticmethod
     def from_cols(dim: int, cols: list[int]) -> "BitMatrix":
         """The dim x len(cols) matrix whose column j is the packed vector cols[j]."""
         if not (0 <= dim <= MAX_DIM and len(cols) <= MAX_DIM):

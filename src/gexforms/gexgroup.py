@@ -41,7 +41,6 @@ from .quadform import (
     QuadraticForm,
     classify,
     direct_sum,
-    parse_form,
     zero_form,
 )
 
@@ -82,21 +81,12 @@ class GexGroup:
     def pmul(self, x: int, y: int) -> int:
         return x ^ y ^ _parity(self.cocycle_row(x) & y)
 
-    def elements_packed(self):
-        return range(self.order)
-
     def to_string(self) -> str:
         return "gex:" + self.form.to_string()
 
 
 def from_form(q: QuadraticForm) -> GexGroup:
     return GexGroup(q)
-
-
-def parse_group(spec: str) -> GexGroup:
-    if not spec.startswith("gex:"):
-        raise ValueError("group spec must start with 'gex:'")
-    return GexGroup(parse_form(spec[4:]))
 
 
 # -- subgroups ---------------------------------------------------------------
@@ -135,11 +125,6 @@ def frattini_order(g: GexGroup) -> int:
     a nonzero Q, so Phi(G) is trivial exactly when Q is the zero form.
     """
     return 1 if g.form.is_zero_form() else 2
-
-
-def is_generalized_extraspecial(g: GexGroup) -> bool:
-    """True iff Phi(G) = [G,G] = Z2 with Phi central: equivalently B_Q != 0."""
-    return any(g.form.polar().data)
 
 
 # -- the group <-> form dictionary --------------------------------------------
@@ -274,12 +259,15 @@ class TableGroup:
     def __init__(self, table):
         self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
-        if self.order & (self.order - 1):
+        # 0 & -1 == 0, so the empty table needs its own test.
+        if not self.order or self.order & (self.order - 1):
             raise ValueError("table groups must have 2-power order")
         elements = tuple(range(self.order))
         self.identity = next(
-            x for x, row in enumerate(self.table) if row == elements
+            (x for x, row in enumerate(self.table) if row == elements), None
         )
+        if self.identity is None:
+            raise ValueError("table has no identity row")
 
     @classmethod
     def from_gex(cls, g: GexGroup) -> "TableGroup":

@@ -83,10 +83,6 @@ class QuadraticForm:
         lower = _transpose_rows(self.upper, n)
         return BitMatrix(n, n, tuple(u | l for u, l in zip(self.upper, lower)))
 
-    def bilinear_bits(self, u: int, v: int) -> int:
-        """B_Q(u, v) = Q(u+v) + Q(u) + Q(v)."""
-        return self.eval_bits(u ^ v) ^ self.eval_bits(u) ^ self.eval_bits(v)
-
     # -- serialization ------------------------------------------------------
 
     def to_string(self) -> str:
@@ -246,27 +242,50 @@ class FormClass:
         return " + ".join(parts) if parts else "0^0"
 
 
+def _split(
+    q: QuadraticForm,
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[int]]:
+    """(minus, plus, radical) from one symplectic basis of B_Q.
+
+    A pair (a, b) with Q(a) = Q(b) = 1 spans an H- block and goes to minus
+    unchanged; every other pair is rewritten to (a', b') with
+    Q(a') = Q(b') = 0 and goes to plus.
+    """
+    pairs, radical = symplectic_basis(q.polar())
+    ev = q.eval_bits
+    plus: list[tuple[int, int]] = []
+    minus: list[tuple[int, int]] = []
+    for a, b in pairs:
+        qa, qb = ev(a), ev(b)
+        if qa and qb:
+            minus.append((a, b))
+        elif qa:
+            plus.append((b, a ^ b))
+        elif qb:
+            plus.append((a, a ^ b))
+        else:
+            plus.append((a, b))
+    return minus, plus, radical
+
+
 def classify(q: QuadraticForm) -> FormClass:
     """Normal-form descriptor of q (complete isometry invariant).
 
     Radical of the polar form first; if Q is nonzero there the class is QOne
-    (which absorbs the Arf sign); otherwise the Arf-type sum over a symplectic
-    basis separates Plus from Minus.
+    (which absorbs the Arf sign).  Otherwise the Arf invariant, the sum of
+    Q(a)Q(b) over the symplectic pairs, is the parity of the H- pairs of
+    ``_split`` and separates Plus from Minus.
     """
     n = q.dim
     if q.is_zero_form():
         return FormClass(n, 0, Kind.ZERO, n)
-    p = q.polar()
-    pairs, radical = symplectic_basis(p)
-    m1 = len(pairs)
+    minus, plus, radical = _split(q)
+    m1 = len(minus) + len(plus)
     m2 = n - 2 * m1
     # Q restricted to the radical is linear, so basis values decide it.
     if any(q.eval_bits(r) for r in radical):
         return FormClass(n, m1, Kind.QONE, m2)
-    arf = 0
-    for a, b in pairs:
-        arf ^= q.eval_bits(a) & q.eval_bits(b)
-    return FormClass(n, m1, Kind.MINUS if arf else Kind.PLUS, m2)
+    return FormClass(n, m1, Kind.MINUS if len(minus) % 2 else Kind.PLUS, m2)
 
 
 def standard_form(fc: FormClass) -> QuadraticForm:
@@ -307,22 +326,8 @@ def normal_form_witness(q: QuadraticForm) -> Isometry:
     n = q.dim
     if n == 0:
         return Isometry(BitMatrix.identity(0))
-    pairs, rads = symplectic_basis(q.polar())
+    minus, plus, rads = _split(q)
     ev = q.eval_bits
-
-    plus: list[tuple[int, int]] = []
-    minus: list[tuple[int, int]] = []
-    for a, b in pairs:
-        qa, qb = ev(a), ev(b)
-        if qa and qb:
-            minus.append((a, b))
-        elif qa:
-            plus.append((b, a ^ b))
-        elif qb:
-            plus.append((a, a ^ b))
-        else:
-            plus.append((a, b))
-
     q_on_radical = any(ev(r) for r in rads)
 
     while len(minus) >= 2:

@@ -208,7 +208,7 @@ def check_group_laws(max_dim: int = 3):
     for dim in range(max_dim + 1):
         for q in quadform.all_forms(dim):
             g = gexgroup.from_form(q)
-            elements = g.elements_packed()
+            elements = range(g.order)
             rows = [g.cocycle_row(x) for x in elements]
             squares = [g.pmul(x, x) for x in elements]
             inv = [x ^ sq for x, sq in zip(elements, squares)]

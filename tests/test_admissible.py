@@ -4,7 +4,6 @@ import pytest
 
 from gexforms.f2linalg import _row_image
 from gexforms.admissible import (
-    AdmissibleBasis,
     BRUTEFORCE_DIM_CAP,
     _standard_basis,
     admissible_witness,
@@ -58,26 +57,26 @@ def test_verdict_is_an_isometry_invariant():
 
 def test_check_basis_accepts_hand_built_example():
     # H-: both basis vectors already work -- Q(e1) = Q(e2) = 1, B(e1, e2) = 1.
-    basis = AdmissibleBasis((0b01, 0b10))
+    basis = (0b01, 0b10)
     assert check_basis(h_minus(), basis)
 
 
 def test_check_basis_rejections():
     hm = h_minus()
     # dependent vectors
-    assert not check_basis(hm, AdmissibleBasis((1, 1)))
+    assert not check_basis(hm, (1, 1))
     # wrong count
-    assert not check_basis(hm, AdmissibleBasis((1,)))
+    assert not check_basis(hm, (1,))
     # bits beyond dim
-    assert not check_basis(hm, AdmissibleBasis((0b01, 0b100)))
+    assert not check_basis(hm, (0b01, 0b100))
     # Q = 0 on a basis vector (e1 for H+)
     hp2 = direct_sum(h_plus(), h_plus())
-    assert not check_basis(hp2, AdmissibleBasis(tuple(1 << i for i in range(4))))
+    assert not check_basis(hp2, tuple(1 << i for i in range(4)))
     # all values 1 but e3 = (1,1,1) is B_Q-isolated: Q1 (+) Q1 (+) Q1
     q = sum_forms(q_one(), q_one(), q_one())
     vs = (0b001, 0b010, 0b111)
     assert all(q.eval_bits(v) for v in vs)
-    assert not check_basis(q, AdmissibleBasis(vs))
+    assert not check_basis(q, vs)
 
 
 def test_witness_none_iff_inadmissible_small():
@@ -120,7 +119,7 @@ def test_witness_pull_back_matches_matvec():
             fc = classify(q)
             kinds.add(fc.kind)
             t = normal_form_witness(q).map
-            assert w.vectors == tuple(t.matvec_bits(v) for v in _standard_basis(fc))
+            assert w == tuple(t.matvec_bits(v) for v in _standard_basis(fc))
     assert len(kinds) == 3
 
 
@@ -241,7 +240,7 @@ def _reference_bruteforce(q):
         return False
 
     if search(0, 0, 0):
-        return AdmissibleBasis(tuple(candidates[i] for i in chosen))
+        return tuple(candidates[i] for i in chosen)
     return None
 
 

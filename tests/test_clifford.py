@@ -117,7 +117,8 @@ def test_g0_form_class():
         assert all(q.eval_bits(1 << i) == 1 for i in range(l))
         for i in range(l):
             for j in range(i + 1, l):
-                assert q.bilinear_bits(1 << i, 1 << j) == 1
+                u, v = 1 << i, 1 << j
+                assert q.eval_bits(u ^ v) ^ q.eval_bits(u) ^ q.eval_bits(v) == 1
     assert classify(g0_form(1)) == FormClass(1, 0, Kind.QONE, 1)
     assert classify(g0_form(2)) == FormClass(2, 1, Kind.MINUS, 0)
 
@@ -192,16 +193,16 @@ def psi_all_pairs(n):
     """The homomorphism check on all 4^n element pairs, with images built
     element by element: an independent route to verify_psi's verdict."""
     g = from_form(clifford.g0_form(n - 1))
-    images = [psi_per_element(g, x, n) for x in g.elements_packed()]
+    images = [psi_per_element(g, x, n) for x in range(g.order)]
     if len(set(images)) != g.order:
         return False
     if any((image >> 1).bit_count() % 2 for image in images):
         return False
-    for x in g.elements_packed():
+    for x in range(g.order):
         rx = g.cocycle_row(x)
         px = images[x]
         ax = clifford._sign_mask(px >> 1) << 1
-        for y in g.elements_packed():
+        for y in range(g.order):
             py = images[y]
             if images[x ^ y ^ ((rx & y).bit_count() & 1)] != px ^ py ^ (
                 (ax & py).bit_count() & 1
@@ -232,7 +233,7 @@ def non_additive_sign_mask(s):
 def test_psi_table_matches_per_element_images():
     for n in range(2, 13):
         g, images = psi_table(n)
-        assert images == [psi_per_element(g, x, n) for x in g.elements_packed()]
+        assert images == [psi_per_element(g, x, n) for x in range(g.order)]
 
 
 def test_verify_psi_agrees_with_all_pairs_reference(monkeypatch):

@@ -23,7 +23,7 @@ CYCLE3 = BitMatrix(3, 3, (0b110, 0b101, 0b011))  # rows (011),(101),(110)
 
 def test_rank_identity_and_zero():
     assert rank(BitMatrix.identity(3)) == 3
-    assert rank(BitMatrix.zero(4, 4)) == 0
+    assert rank(BitMatrix(4, 4, (0,) * 4)) == 0
 
 
 def test_rank_dependent_rows():
@@ -31,7 +31,7 @@ def test_rank_dependent_rows():
 
 
 def test_kernel_zero_and_identity():
-    assert len(kernel_basis(BitMatrix.zero(2, 2))) == 2
+    assert len(kernel_basis(BitMatrix(2, 2, (0,) * 2))) == 2
     assert kernel_basis(BitMatrix.identity(3)) == []
 
 
@@ -131,14 +131,14 @@ def test_transpose_rows_matches_reference_on_every_shape():
 
 def test_is_invertible():
     assert is_invertible(BitMatrix.identity(4))
-    assert not is_invertible(BitMatrix.zero(3, 3))
+    assert not is_invertible(BitMatrix(3, 3, (0,) * 3))
     assert is_invertible(BitMatrix(2, 2, (0b11, 0b10)))
     with pytest.raises(ValueError):
-        is_invertible(BitMatrix.zero(2, 3))
+        is_invertible(BitMatrix(2, 3, (0,) * 2))
 
 
 def test_symplectic_zero_form():
-    pairs, radical = symplectic_basis(BitMatrix.zero(3, 3))
+    pairs, radical = symplectic_basis(BitMatrix(3, 3, (0,) * 3))
     assert pairs == []
     assert len(radical) == 3
 

@@ -21,10 +21,8 @@ from gexforms.gexgroup import (
     frattini_order,
     from_form,
     group_class_of_form_class,
-    is_generalized_extraspecial,
     iso_oracle,
     iso_oracle_tables,
-    parse_group,
     q_from_group,
 )
 from gexforms.quadform import (
@@ -37,6 +35,7 @@ from gexforms.quadform import (
     direct_sum,
     h_minus,
     h_plus,
+    parse_form,
     q_one,
     random_form,
     random_invertible,
@@ -51,7 +50,7 @@ RNG_SEED = 271828
 def test_order_and_identity():
     g = from_form(h_minus())
     assert g.order == 8
-    for x in g.elements_packed():
+    for x in range(g.order):
         assert g.pmul(0, x) == x == g.pmul(x, 0)
 
 
@@ -60,7 +59,7 @@ def test_group_axioms_exhaustive_small():
     for _ in range(20):
         q = random_form(3, rng)
         g = from_form(q)
-        elems = list(g.elements_packed())
+        elems = list(range(g.order))
         for x in elems:
             inv = x ^ g.pmul(x, x)  # x^2 is central in {0, 1}
             assert g.pmul(x, inv) == 0
@@ -74,7 +73,7 @@ def test_central_involution_is_central():
     g = from_form(sum_forms(h_minus(), q_one()))
     c = 1
     assert g.pmul(c, c) == 0
-    for x in g.elements_packed():
+    for x in range(g.order):
         assert g.pmul(c, x) == g.pmul(x, c)
 
 
@@ -91,7 +90,7 @@ def test_squares_and_orders():
     for dim in range(4):
         for q in all_forms(dim):
             g = from_form(q)
-            for x in g.elements_packed():
+            for x in range(g.order):
                 square = g.pmul(x, x)
                 # the group law squares each element into the central fiber, onto Q
                 assert square == q.eval_bits(x >> 1)
@@ -102,13 +101,13 @@ def test_squares_and_orders():
 def test_q8_model_order_census():
     # Q8: one identity, one involution, six elements of order 4.
     g = from_form(h_minus())
-    orders = sorted(_order(g, x) for x in g.elements_packed())
+    orders = sorted(_order(g, x) for x in range(g.order))
     assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
 
 
 def test_d8_model_order_census():
     g = from_form(h_plus())
-    orders = sorted(_order(g, x) for x in g.elements_packed())
+    orders = sorted(_order(g, x) for x in range(g.order))
     assert orders == [1, 2, 2, 2, 2, 2, 4, 4]
 
 
@@ -119,8 +118,8 @@ def test_center_matches_bruteforce():
         g = from_form(q)
         brute = {
             x
-            for x in g.elements_packed()
-            if all(g.pmul(x, y) == g.pmul(y, x) for y in g.elements_packed())
+            for x in range(g.order)
+            if all(g.pmul(x, y) == g.pmul(y, x) for y in range(g.order))
         }
         assert set(center(g)) == brute
 
@@ -152,7 +151,7 @@ def test_generalized_extraspecial_vs_bruteforce_frattini():
     for dim in range(5):
         for q in all_forms(dim):
             g = from_form(q)
-            elements = g.elements_packed()
+            elements = range(g.order)
             # the commutator (xy)(x^-1 y^-1), as three applications of the
             # packed law x * y = x ^ y ^ parity(R(x) & y) on tabulated
             # cocycle rows R and inverses x^-1 = x ^ x^2
@@ -174,7 +173,8 @@ def test_generalized_extraspecial_vs_bruteforce_frattini():
             expected = (
                 phi == {0, 1} and comm == {0, 1} and phi <= central
             )
-            assert is_generalized_extraspecial(g) == expected
+            # generalized extraspecial exactly when B_Q != 0
+            assert any(q.polar().data) == expected
 
 
 def test_form_round_trips_through_group(monkeypatch):
@@ -195,9 +195,9 @@ def test_form_round_trips_through_group(monkeypatch):
 
 def test_serialization_round_trip():
     g = from_form(sum_forms(h_minus(), q_one()))
-    assert parse_group(g.to_string()).form == g.form
-    with pytest.raises(ValueError):
-        parse_group("l=1;d=1;u=")
+    spec = g.to_string()
+    assert spec.startswith("gex:")
+    assert parse_form(spec[len("gex:") :]) == g.form
 
 
 def test_dimension_cap():
@@ -279,9 +279,14 @@ def test_table_frattini_matches_form_level_order():
         assert 1 << len(t.basis) == t.order // phi_order
         span = _try_generator_images(t, t, t.basis, t.basis)
         assert len(span) == t.order
-    # The basis generates only in a 2-group, so other orders are refused.
+    # The basis generates only in a 2-group, so other orders are refused,
+    # the empty table among them; a table without an identity row is no group.
     with pytest.raises(ValueError):
         TableGroup(tuple(tuple((a + b) % 3 for b in range(3)) for a in range(3)))
+    with pytest.raises(ValueError):
+        TableGroup(())
+    with pytest.raises(ValueError):
+        TableGroup(((1, 0), (0, 0)))
 
 
 def _form_classes(dim):
@@ -395,4 +400,4 @@ def test_group_laws_detects_a_broken_law(monkeypatch):
     prefix = "commutator law at "
     assert not ok
     assert detail.startswith(prefix)
-    assert parse_group("gex:" + detail[len(prefix) :]).dim <= 2
+    assert parse_form(detail[len(prefix) :]).dim <= 2

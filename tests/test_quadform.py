@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gexforms.f2linalg import BitMatrix, invertible_matrices
+from gexforms.f2linalg import BitMatrix, invertible_matrices, symplectic_basis
 from gexforms.quadform import (
     FormClass,
     Kind,
@@ -71,14 +71,14 @@ def test_polar_is_alternating_and_symmetric():
 def test_polarization_identity(q, u, v):
     u &= (1 << q.dim) - 1
     v &= (1 << q.dim) - 1
-    assert q.bilinear_bits(u, v) == q.eval_bits(u ^ v) ^ q.eval_bits(u) ^ q.eval_bits(v)
-    # and it agrees with the matrix form of B_Q
+    b = q.eval_bits(u ^ v) ^ q.eval_bits(u) ^ q.eval_bits(v)
+    # B_Q(u, v) = Q(u+v) + Q(u) + Q(v) agrees with the matrix form of B_Q
     p = q.polar()
     acc = 0
     for i in range(q.dim):
         if (u >> i) & 1:
             acc ^= p.data[i]
-    assert q.bilinear_bits(u, v) == (acc & v).bit_count() & 1
+    assert b == (acc & v).bit_count() & 1
 
 
 def test_serialization_round_trip():
@@ -175,7 +175,8 @@ def _change_basis_reference(q, t):
     for i in range(n):
         diag |= q.eval_bits(cols[i]) << i
         for j in range(i + 1, n):
-            upper[i] |= q.bilinear_bits(cols[i], cols[j]) << j
+            u, v = cols[i], cols[j]
+            upper[i] |= (q.eval_bits(u ^ v) ^ q.eval_bits(u) ^ q.eval_bits(v)) << j
     return QuadraticForm(n, diag, tuple(upper))
 
 
@@ -191,6 +192,40 @@ def test_change_basis_matches_bilinear_loop():
         change_basis(h_plus(), BitMatrix.identity(3))
     with pytest.raises(ValueError):
         change_basis(h_plus(), BitMatrix(2, 2, (0b11, 0b11)))
+
+
+def _kind_by_arf_sum(q):
+    """The kind through the Arf sum: QOne if Q is nonzero on the radical,
+    else Minus iff the sum of Q(a)Q(b) over the symplectic pairs is 1."""
+    if q.is_zero_form():
+        return Kind.ZERO
+    pairs, radical = symplectic_basis(q.polar())
+    if any(q.eval_bits(r) for r in radical):
+        return Kind.QONE
+    arf = 0
+    for a, b in pairs:
+        arf ^= q.eval_bits(a) & q.eval_bits(b)
+    return Kind.MINUS if arf else Kind.PLUS
+
+
+def test_classify_kind_matches_arf_sum():
+    """classify reads the kind off the parity of its H- pairs; the Arf sum
+    must give the same kind on every form up to dim 4, on random forms up to
+    dim 64, and on forms with a zero summand of every size."""
+    rng = random.Random(RNG_SEED + 10)
+    forms = [q for dim in range(5) for q in all_forms(dim)]
+    for dim in range(5, 65):
+        forms += [random_form(dim, rng) for _ in range(4)]
+        for _ in range(4):
+            m = rng.randrange(0, dim + 1)
+            forms.append(direct_sum(random_form(m, rng), zero_form(dim - m)))
+    kinds = set()
+    for q in forms:
+        kind = classify(q).kind
+        assert kind is _kind_by_arf_sum(q), q.to_string()
+        kinds.add((kind, q.dim > 4))
+    # every kind occurs both in the exhaustive part and above it
+    assert len(kinds) == 8
 
 
 def test_standard_form_round_trips_through_classify():
@@ -324,7 +359,7 @@ def test_form_class_validation():
 
 def test_change_basis_requires_invertible():
     with pytest.raises(ValueError):
-        change_basis(h_plus(), BitMatrix.zero(2, 2))
+        change_basis(h_plus(), BitMatrix(2, 2, (0,) * 2))
     with pytest.raises(ValueError):
         change_basis(h_plus(), BitMatrix.identity(3))
 
