@@ -12,8 +12,8 @@ identity and 1 the central involution.
 ``q_from_group`` reads the form through ``pmul`` alone.  For the lifts x, y
 of e_i, e_j, Q(e_i) is x * x, and since xy = [x, y] yx with [x, y] central in
 {0, 1}, B_Q(e_i, e_j) is xy XOR yx.  The hand-written Q8, D8 and Z4 tables
-below are tied to H-, H+ and Q1 by ``iso_oracle_tables``, which compares
-each with the table of the model of its form and reads no form itself.
+below are tied to H-, H+ and Q1 by ``iso_oracle``, which compares each with
+the law of the model of its form and reads no form itself.
 
 On packed ints the law is one XOR plus a parity.  For x = (u, eps) let R(x)
 be the XOR of the cocycle rows M_i over the set bits i of u, shifted left by
@@ -22,9 +22,8 @@ one so that it skips the central bit of y; then
     x * y = x ^ y ^ parity(R(x) & y).
 
 R(x) depends on the left factor only, so a loop over every right factor
-computes it once (``cocycle_row``), as the multiplication tables of the
-isomorphism oracle do.  ``center`` returns a view sized from a basis of the
-radical of B_Q; its elements are built only when it is iterated.
+computes it once (``cocycle_row``).  ``center`` returns a view sized from a
+basis of the radical of B_Q; its elements are built only when it is iterated.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 
 from .f2linalg import _parity, _row_image, kernel_basis
 from .quadform import (
@@ -250,83 +250,79 @@ D8_TABLE = (
 
 Z4_TABLE = tuple(tuple((a + b) % 4 for b in range(4)) for a in range(4))
 
-# -- table-level isomorphism oracle ----------------------------------------------
+# -- isomorphism oracle on the group law ------------------------------------------
 
 
 class TableGroup:
-    """A finite 2-group given by its multiplication table on range(order)."""
+    """A finite 2-group given by its multiplication table on range(order).
+
+    Raises ValueError unless the order is a power of 2, every row and every
+    column permutes range(order), and the law is associative over all
+    order^3 triples.  An associative Latin square is a group; rows alone do
+    not suffice, since x * y = y is associative with every row the identity.
+    """
 
     def __init__(self, table):
-        self.table = tuple(tuple(row) for row in table)
-        self.order = len(self.table)
+        self.table = t = tuple(tuple(row) for row in table)
+        self.order = n = len(t)
         # 0 & -1 == 0, so the empty table needs its own test.
-        if not self.order or self.order & (self.order - 1):
+        if not n or n & (n - 1):
             raise ValueError("table groups must have 2-power order")
-        elements = tuple(range(self.order))
-        self.identity = next(
-            (x for x, row in enumerate(self.table) if row == elements), None
-        )
-        if self.identity is None:
-            raise ValueError("table has no identity row")
+        if any(sorted(line) != list(range(n)) for line in t + tuple(zip(*t))):
+            raise ValueError("table rows and columns must permute range(order)")
+        triples = product(range(n), repeat=3)
+        if any(t[t[x][y]][z] != t[x][t[y][z]] for x, y, z in triples):
+            raise ValueError("table law is not associative")
 
-    @classmethod
-    def from_gex(cls, g: GexGroup) -> "TableGroup":
-        """The table of g; raises ValueError above ISO_ORACLE_ORDER_CAP, where
-        it would need order^2 entries.
+    def pmul(self, x: int, y: int) -> int:
+        return self.table[x][y]
 
-        Row x is built by doubling: with c_b = (1 << b) ^ bit b of R(x), the
-        entry at y | (1 << b) for y < 2^b is the entry at y XOR c_b.  Rows x
-        and x ^ 1 share R(x), so the odd row is the even one XOR 1.
-        """
-        if g.order > ISO_ORACLE_ORDER_CAP:
-            raise ValueError(
-                f"multiplication tables capped at order {ISO_ORACLE_ORDER_CAP}"
-            )
-        rows = []
-        for x in range(0, g.order, 2):
-            r = g.cocycle_row(x)
-            row = [x]
-            for b in range(g.dim + 1):
-                c = (1 << b) ^ ((r >> b) & 1)
-                row += [z ^ c for z in row]
-            rows.append(row)
-            rows.append([z ^ 1 for z in row])
-        return cls(rows)
+
+class _Law:
+    """The invariants ``iso_oracle`` compares, read through a group's ``pmul``
+    alone.  Each is computed on first use, so a pair that the order census
+    rejects never pays for the basis or the center."""
+
+    def __init__(self, g):
+        self.order = g.order
+        self.pmul = g.pmul
+
+    @cached_property
+    def squares(self) -> tuple[int, ...]:
+        pmul = self.pmul
+        return tuple(pmul(x, x) for x in range(self.order))
+
+    @cached_property
+    def identity(self) -> int:
+        """The one idempotent: x * x = x forces x = 1 in a group."""
+        return next(x for x, s in enumerate(self.squares) if s == x)
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
-        t = self.table
+        """By repeated squaring: in a 2-group the order of x is the first 2^k
+        with x^(2^k) = 1."""
+        sq, e = self.squares, self.identity
         orders = []
         for x in range(self.order):
-            y, o = x, 1
-            while y != self.identity:
-                y = t[y][x]
-                o += 1
+            o = 1
+            while x != e:
+                x, o = sq[x], 2 * o
             orders.append(o)
         return tuple(orders)
-
-    @cached_property
-    def central(self) -> tuple[bool, ...]:
-        """central[x]: x commutes with every element (its row is its column)."""
-        return tuple(row == col for row, col in zip(self.table, zip(*self.table)))
-
-    @cached_property
-    def center_size(self) -> int:
-        return sum(self.central)
 
     @cached_property
     def frattini(self) -> frozenset[int]:
         """Phi(G) = <x^2 : x in G>.  G/<G^2> has exponent 2, so it is abelian
         and <G^2> contains [G, G]: for a 2-group this is the Frattini
         subgroup G^2 [G, G]."""
-        t = self.table
-        squares = {t[x][x] for x in range(self.order)}
+        pmul = self.pmul
+        squares = set(self.squares)
         phi = {self.identity}
         frontier = [self.identity]
         while frontier:
             y = frontier.pop()
             for s in squares:
-                z = t[y][s]
+                z = pmul(y, s)
                 if z not in phi:
                     phi.add(z)
                     frontier.append(z)
@@ -338,27 +334,44 @@ class TableGroup:
         a basis of G/Phi, so they generate G (Burnside's basis theorem).  The
         span is a subgroup containing Phi, hence normal with an abelian
         exponent-2 quotient, and adding x grows it to span | span.x."""
-        t = self.table
+        pmul = self.pmul
         span = set(self.frattini)
         gens: list[int] = []
         for x in range(self.order):
             if x not in span:
                 gens.append(x)
-                span |= {t[s][x] for s in span}
+                span |= {pmul(s, x) for s in span}
         return tuple(gens)
 
+    def relation(self, x: int, y: int) -> tuple[bool, int]:
+        """Whether x and y commute, and the order of xy."""
+        p = self.pmul(x, y)
+        return p == self.pmul(y, x), self.element_orders[p]
 
-def _try_generator_images(g1: TableGroup, g2: TableGroup, gens, imgs):
-    """Close the partial map sending gens -> imgs; None on any conflict."""
-    t1, t2 = g1.table, g2.table
-    m = {g1.identity: g2.identity}
-    frontier = [g1.identity]
+    @cached_property
+    def central(self) -> tuple[bool, ...]:
+        """central[x]: x commutes with every basis element, hence with the
+        group they generate."""
+        pmul, gens = self.pmul, self.basis
+        return tuple(
+            all(pmul(x, g) == pmul(g, x) for g in gens) for x in range(self.order)
+        )
+
+
+def _try_generator_images(a: _Law, b: _Law, gens, imgs):
+    """Close the partial map sending gens -> imgs over the subgroup the gens
+    generate, setting f(x g) = f(x) f(g') for each element x reached and each
+    g in gens with image g'.  None on a conflict (two values for one f(y)) or
+    a collision (two elements with one image)."""
+    amul, bmul = a.pmul, b.pmul
+    m = {a.identity: b.identity}
+    frontier = [a.identity]
     while frontier:
         x = frontier.pop()
         fx = m[x]
         for g, h in zip(gens, imgs):
-            xg = t1[x][g]
-            fxh = t2[fx][h]
+            xg = amul(x, g)
+            fxh = bmul(fx, h)
             prev = m.get(xg)
             if prev is None:
                 m[xg] = fxh
@@ -370,29 +383,64 @@ def _try_generator_images(g1: TableGroup, g2: TableGroup, gens, imgs):
     return m
 
 
-def _is_full_isomorphism(g1: TableGroup, g2: TableGroup, m) -> bool:
-    """m is a bijection G1 -> G2 with m(xy) = m(x) m(y) for every x and y:
-    row x of G1's table mapped through m is row m(x) of G2's read at m(y)."""
-    if len(m) != g1.order:
-        return False
-    f = [m[x] for x in range(g1.order)]
-    if len(set(f)) != g2.order:
-        return False
-    t2 = g2.table
-    return all(
-        list(map(f.__getitem__, row)) == list(map(t2[fx].__getitem__, f))
-        for row, fx in zip(g1.table, f)
-    )
+def _isomorphism(g1, g2) -> dict[int, int] | None:
+    """An isomorphism G1 -> G2 as a dict on range(order), or None; see
+    ``iso_oracle``."""
+    if g1.order != g2.order:
+        return None
+    if g1.order > ISO_ORACLE_ORDER_CAP:
+        raise ValueError(f"isomorphism oracle capped at order {ISO_ORACLE_ORDER_CAP}")
+    a, b = _Law(g1), _Law(g2)
+    o1, o2 = a.element_orders, b.element_orders
+    if Counter(o1) != Counter(o2):
+        return None
+    if len(a.frattini) != len(b.frattini):
+        return None
+    z1, z2 = a.central, b.central
+    if sum(z1) != sum(z2):
+        return None
+    gens = a.basis
+    # For g_i: the elements of G2 with its order and centrality, and for each
+    # earlier g_j whether the two commute and the order of g_i g_j.
+    by_key: dict[tuple[int, bool], list[int]] = {}
+    for h in range(b.order):
+        by_key.setdefault((o2[h], z2[h]), []).append(h)
+    candidates = [by_key.get((o1[g], z1[g]), []) for g in gens]
+    relations = [[a.relation(g, gj) for gj in gens[:i]] for i, g in enumerate(gens)]
+
+    def extend(depth: int, imgs: list[int], span: frozenset[int], m):
+        if depth == len(gens):
+            return m if len(m) == a.order else None
+        rels = relations[depth]
+        for h in candidates[depth]:
+            if h in span:
+                continue
+            if any(b.relation(h, hj) != rel for hj, rel in zip(imgs, rels)):
+                continue
+            images = imgs + [h]
+            partial = _try_generator_images(a, b, gens[: depth + 1], images)
+            if partial is None:
+                continue
+            grown = span | {b.pmul(s, h) for s in span}
+            found = extend(depth + 1, images, grown, partial)
+            if found is not None:
+                return found
+        return None
+
+    return extend(0, [], b.frattini, {a.identity: b.identity})
 
 
-def iso_oracle_tables(g1: TableGroup, g2: TableGroup) -> bool:
-    """Exhaustive search over the images of a basis of G1 modulo Phi(G1).
+def iso_oracle(g1, g2) -> bool:
+    """Ground truth for classify_group: is G1 isomorphic to G2?
 
-    An isomorphism f is fixed by the images h_i of the basis g_i, and every
-    filter below is a property that f must have, so no isomorphism is pruned:
+    G1 and G2 are any groups with an ``order`` and a law ``pmul`` on
+    range(order), such as a GexGroup or a TableGroup; every invariant is read
+    through the law.  The search runs over the images h_i of a basis g_i of
+    G1 modulo Phi(G1), which fix an isomorphism f, and every filter is a
+    property that f must have, so no isomorphism is pruned:
 
     - f preserves element orders and the center, so the order censuses,
-      the center sizes and the Frattini orders agree, and h_i has the order
+      the Frattini orders and the center sizes agree, and h_i has the order
       and the centrality of g_i;
     - Phi is characteristic, so f induces an isomorphism G1/Phi -> G2/Phi
       and maps the basis to a basis: h_i lies outside <Phi(G2), h_1..h_(i-1)>
@@ -401,65 +449,16 @@ def iso_oracle_tables(g1: TableGroup, g2: TableGroup) -> bool:
       commutes with g_j, and h_i h_j has the order of g_i g_j.
 
     Each surviving partial assignment is closed over the subgroup its
-    generators span and dropped on a conflict or a collision; a full
-    assignment must then pass the whole table check ``_is_full_isomorphism``.
+    generators span and dropped on a conflict or a collision.  The last
+    closure is then an isomorphism by the generator lemma, as in
+    ``verify_psi``: it covers all of G1, is injective, fixes the identity and
+    has f(x g_i) = f(x) h_i for every x and every i, so induction on word
+    length gives f(xy) = f(x) f(y).  The induction needs both laws to be
+    associative: the cocycle law is, because its cocycle is bilinear, and
+    TableGroup checks its table at construction.
+
+    Groups of different orders are told apart before any invariant is read;
+    equal orders above ISO_ORACLE_ORDER_CAP raise ValueError, which bounds
+    the search time.
     """
-    if g1.order != g2.order:
-        return False
-    if g1.order > ISO_ORACLE_ORDER_CAP:
-        raise ValueError(f"isomorphism oracle capped at order {ISO_ORACLE_ORDER_CAP}")
-    o1, o2 = g1.element_orders, g2.element_orders
-    if Counter(o1) != Counter(o2):
-        return False
-    if g1.center_size != g2.center_size:
-        return False
-    if len(g1.frattini) != len(g2.frattini):
-        return False
-    t1, t2 = g1.table, g2.table
-    z1, z2 = g1.central, g2.central
-    gens = g1.basis
-    # For g_i: the elements of G2 with its order and centrality, and for each
-    # earlier g_j whether the two commute and the order of g_i g_j.
-    by_key: dict[tuple[int, bool], list[int]] = {}
-    for h in range(g2.order):
-        by_key.setdefault((o2[h], z2[h]), []).append(h)
-    candidates = [by_key.get((o1[g], z1[g]), []) for g in gens]
-    relations = [
-        [(t1[g][gj] == t1[gj][g], o1[t1[g][gj]]) for gj in gens[:i]]
-        for i, g in enumerate(gens)
-    ]
-
-    def extend(depth: int, imgs: list[int], span: frozenset[int], m) -> bool:
-        if depth == len(gens):
-            return _is_full_isomorphism(g1, g2, m)
-        rels = relations[depth]
-        for h in candidates[depth]:
-            if h in span:
-                continue
-            row = t2[h]
-            if any(
-                (row[hj] == t2[hj][h], o2[row[hj]]) != rel
-                for hj, rel in zip(imgs, rels)
-            ):
-                continue
-            images = imgs + [h]
-            partial = _try_generator_images(g1, g2, gens[: depth + 1], images)
-            if partial is None:
-                continue
-            grown = span | {t2[s][h] for s in span}
-            if extend(depth + 1, images, grown, partial):
-                return True
-        return False
-
-    return extend(0, [], g2.frattini, {g1.identity: g2.identity})
-
-
-def iso_oracle(g1: GexGroup, g2: GexGroup) -> bool:
-    """Ground truth for classify_group: explicit-table isomorphism search.
-
-    Groups of different orders are told apart before any table is built;
-    equal orders above ISO_ORACLE_ORDER_CAP raise ValueError.
-    """
-    if g1.order != g2.order:
-        return False
-    return iso_oracle_tables(TableGroup.from_gex(g1), TableGroup.from_gex(g2))
+    return _isomorphism(g1, g2) is not None

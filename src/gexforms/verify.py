@@ -144,9 +144,8 @@ def check_dictionary(rounds: int = 50):
         (gexgroup.Z4_TABLE, quadform.q_one(), "Z4"),
     ]
     for table, expected, label in table_expect:
-        if not gexgroup.iso_oracle_tables(
-            gexgroup.TableGroup(table),
-            gexgroup.TableGroup.from_gex(gexgroup.from_form(expected)),
+        if not gexgroup.iso_oracle(
+            gexgroup.TableGroup(table), gexgroup.from_form(expected)
         ):
             return False, f"{label} table is not the group of {expected.to_string()}"
     products = 0

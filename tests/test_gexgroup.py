@@ -13,6 +13,8 @@ from gexforms.gexgroup import (
     Q8_TABLE,
     TableGroup,
     Z4_TABLE,
+    _Law,
+    _isomorphism,
     _try_generator_images,
     center,
     central_product,
@@ -22,7 +24,6 @@ from gexforms.gexgroup import (
     from_form,
     group_class_of_form_class,
     iso_oracle,
-    iso_oracle_tables,
     q_from_group,
 )
 from gexforms.quadform import (
@@ -218,29 +219,61 @@ def test_central_product_form_and_order():
 
 
 def test_models_match_reference_tables():
-    assert iso_oracle_tables(
-        TableGroup.from_gex(from_form(h_minus())), TableGroup(Q8_TABLE)
-    )
-    assert iso_oracle_tables(
-        TableGroup.from_gex(from_form(h_plus())), TableGroup(D8_TABLE)
-    )
-    assert iso_oracle_tables(
-        TableGroup.from_gex(from_form(q_one())), TableGroup(Z4_TABLE)
-    )
-    assert not iso_oracle_tables(TableGroup(Q8_TABLE), TableGroup(D8_TABLE))
+    assert iso_oracle(from_form(h_minus()), TableGroup(Q8_TABLE))
+    assert iso_oracle(from_form(h_plus()), TableGroup(D8_TABLE))
+    assert iso_oracle(from_form(q_one()), TableGroup(Z4_TABLE))
+    assert not iso_oracle(TableGroup(Q8_TABLE), TableGroup(D8_TABLE))
 
 
-def test_table_from_gex_matches_pmul():
+def _is_full_isomorphism(g1, g2, m) -> bool:
+    """Reference for the generator-lemma leaf: m is a bijection G1 -> G2 with
+    m(xy) = m(x) m(y) for every x and y, checked over all order^2 pairs."""
+    if len(m) != g1.order:
+        return False
+    f = [m[x] for x in range(g1.order)]
+    if len(set(f)) != g2.order:
+        return False
+    return all(
+        f[g1.pmul(x, y)] == g2.pmul(f[x], f[y])
+        for x in range(g1.order)
+        for y in range(g1.order)
+    )
+
+
+def test_isomorphism_passes_the_full_table_check():
+    """The map the search returns is an isomorphism over every pair, for the
+    reference tables against their models and for seeded same-class pairs
+    at orders 8-64; the search itself checks no pair beyond its closure."""
     rng = random.Random(RNG_SEED + 5)
-    forms = [q for dim in range(4) for q in all_forms(dim)]
-    forms += [random_form(dim, rng) for dim in (4, 5) for _ in range(10)]
-    for q in forms:
-        g = from_form(q)
-        table = TableGroup.from_gex(g).table
-        elements = range(g.order)
-        assert table == tuple(
-            tuple(g.pmul(x, y) for y in elements) for x in elements
-        )
+    pairs = [
+        (from_form(q), TableGroup(t))
+        for q, t in ((h_minus(), Q8_TABLE), (h_plus(), D8_TABLE), (q_one(), Z4_TABLE))
+    ]
+    for dim in range(2, 6):
+        for fc in _form_classes(dim):
+            pairs.append((_hidden_model(fc, rng), _hidden_model(fc, rng)))
+    for g1, g2 in pairs:
+        for a, b in ((g1, g2), (g2, g1)):
+            m = _isomorphism(a, b)
+            assert m is not None
+            assert _is_full_isomorphism(a, b, m)
+
+
+def test_closure_rejects_conflicts_and_collisions():
+    """The closure drops a partial map that two words for one element send to
+    different images, and one that sends two elements to one image."""
+    # Z4 x Z2 with a and ac of order 4, a^2 = (ac)^2 the central involution.
+    z4z2 = _Law(from_form(direct_sum(q_one(), zero_form(1))))
+    q8 = _Law(TableGroup(Q8_TABLE))
+    a, ac = 2, 6
+    i, j = 2, 4
+    assert z4z2.relation(a, ac) == (True, 2)
+    assert q8.relation(i, j) == (False, 4)
+    # Squares and orders match, but a * ac = ac * a while ij = k != -k = ji.
+    assert _try_generator_images(z4z2, q8, (a, ac), (i, j)) is None
+    # Both to i is a homomorphism with kernel <c>: no conflict, a collision.
+    assert _try_generator_images(z4z2, q8, (a, ac), (i, i)) is None
+    assert len(_try_generator_images(z4z2, z4z2, (a, ac), (a, ac))) == 8
 
 
 def test_q8q8_is_d8d8_but_q8_is_not_d8():
@@ -254,10 +287,7 @@ def test_iso_oracle_order_cap():
     big = from_form(zero_form(6))
     with pytest.raises(ValueError):
         iso_oracle(big, big)
-    with pytest.raises(ValueError):
-        TableGroup.from_gex(big)
-    # A dim-16 table would hold 2^34 entries: the cap and the order comparison
-    # come before any table is built.
+    # The cap and the order comparison come before any invariant is read.
     g16 = from_form(zero_form(16))
     with pytest.raises(ValueError):
         iso_oracle(g16, g16)
@@ -265,28 +295,45 @@ def test_iso_oracle_order_cap():
 
 
 def test_table_frattini_matches_form_level_order():
-    """|Phi| read off the table, as the subgroup its squares generate, is the
-    form-level frattini_order; the greedy basis modulo Phi has
-    log2(order / |Phi|) generators and its closure is the whole table."""
-    tables = [
-        (TableGroup.from_gex(g), frattini_order(g))
+    """|Phi| read through the law, as the subgroup the squares generate, is
+    the form-level frattini_order; the greedy basis modulo Phi has
+    log2(order / |Phi|) generators and its closure is the whole group; the
+    elements that commute with the basis are the center."""
+    groups = [
+        (g, frattini_order(g), set(center(g)))
         for dim in range(5)
         for g in map(from_form, all_forms(dim))
     ]
-    tables += [(TableGroup(t), 2) for t in (Q8_TABLE, D8_TABLE, Z4_TABLE)]
-    for t, phi_order in tables:
-        assert len(t.frattini) == phi_order
-        assert 1 << len(t.basis) == t.order // phi_order
-        span = _try_generator_images(t, t, t.basis, t.basis)
-        assert len(span) == t.order
+    for t in (Q8_TABLE, D8_TABLE, Z4_TABLE):
+        brute = {x for x, row in enumerate(t) if row == tuple(r[x] for r in t)}
+        groups.append((TableGroup(t), 2, brute))
+    for g, phi_order, center_set in groups:
+        law = _Law(g)
+        assert len(law.frattini) == phi_order
+        assert 1 << len(law.basis) == g.order // phi_order
+        span = _try_generator_images(law, law, law.basis, law.basis)
+        assert len(span) == g.order
+        assert {x for x in range(g.order) if law.central[x]} == center_set
     # The basis generates only in a 2-group, so other orders are refused,
-    # the empty table among them; a table without an identity row is no group.
+    # the empty table among them; a table that is not a group is refused too.
     with pytest.raises(ValueError):
         TableGroup(tuple(tuple((a + b) % 3 for b in range(3)) for a in range(3)))
     with pytest.raises(ValueError):
         TableGroup(())
     with pytest.raises(ValueError):
         TableGroup(((1, 0), (0, 0)))
+    # An identity row, but row 1 is no permutation: the powers of 1 stay at
+    # 1 and never reach the identity.
+    with pytest.raises(ValueError):
+        TableGroup(((0, 1), (1, 1)))
+    # A Latin square with an identity row and column that is not associative:
+    # Z2^3 with the intercalate at rows 1, 7 and columns 2, 4 swapped.
+    loop = [[x ^ y for y in range(8)] for x in range(8)]
+    loop[1][2], loop[1][4], loop[7][2], loop[7][4] = 5, 3, 3, 5
+    assert all(sorted(line) == list(range(8)) for line in loop + list(zip(*loop)))
+    assert loop[0] == list(range(8)) == [row[0] for row in loop]
+    with pytest.raises(ValueError, match="associative"):
+        TableGroup(loop)
 
 
 def _form_classes(dim):
