@@ -179,21 +179,37 @@ def is_invertible(m: BitMatrix) -> bool:
     return rank(m) == m.rows
 
 
-def symplectic_basis(b: BitMatrix) -> tuple[list[tuple[int, int]], list[int]]:
+def symplectic_basis(
+    b: BitMatrix, diag: int = 0
+) -> tuple[list[tuple[int, int]], list[int], int]:
     """Decompose an alternating bilinear form into hyperbolic pairs plus radical.
 
-    Returns (pairs, radical) as packed vectors of dimension b.rows, where each
-    pair (a_i, b_i) satisfies B(a_i, b_i) = 1, B vanishes across distinct pairs
-    and on/against the radical, and the pairs together with the radical form a
-    basis.  Deterministic: always grabs the lowest-index available vector.
+    Returns (pairs, radical, values) as packed vectors of dimension b.rows,
+    where each pair (a_i, b_i) satisfies B(a_i, b_i) = 1, B vanishes across
+    distinct pairs and on/against the radical, and the pairs together with
+    the radical form a basis.  Deterministic: always grabs the lowest-index
+    available vector.
 
-    Word-level: each working vector travels with a row of B, so every test
-    B(u, x) is one AND plus a popcount.  Validating the input costs one
-    transpose and O(n) word operations; the decomposition costs O(n^2).
+    ``diag`` holds Q(e_i) at bit i for a quadratic form Q whose polar form is
+    B.  ``values`` packs Q on the output vectors: bit j is Q of the j-th
+    vector of a_1, b_1, ..., a_m, b_m, r_1, r_2, ....  With the default
+    diag = 0 it describes the form whose values on the standard basis vanish.
+
+    Index-mask decomposition: working vector u_i starts as e_i and keeps its
+    start index i; ``alive`` is the mask of the indices still working.  Each
+    one travels with its image B u_i, so B(u_i, u_j) is bit j of that image
+    for alive j (u_j - e_j is a sum of earlier pair vectors, orthogonal to
+    u_i).  The partner of v is the lowest bit of its image & alive, and the
+    vectors to update are whole masks, so no test needs a popcount.  Q on the
+    working vectors is one mask, carried by Q(u + v) = Q(u) + Q(v) + B(u, v).
+    Validating the input costs one transpose and O(n) word operations; the
+    decomposition costs one XOR per updated vector, O(n^2) in all.
     """
     n = b.rows
     if b.rows != b.cols:
         raise ValueError("alternating form must be square")
+    if diag >> n:
+        raise ValueError("diag bits set beyond dimension")
     rows = b.data
     cols = _transpose_rows(rows, n)
     for i in range(n):
@@ -202,32 +218,46 @@ def symplectic_basis(b: BitMatrix) -> tuple[list[tuple[int, int]], list[int]]:
         if (rows[i] ^ cols[i]) >> (i + 1):
             raise ValueError("form is not symmetric")
 
-    # Each working vector u = e_i + (earlier pair vectors) keeps the image
-    # Be_i of its start.  The earlier pair vectors are B-orthogonal to every
-    # vector still working, so parity(Be_i & x) = B(u, x) for those x.
-    working = [(1 << i, rows[i]) for i in range(n)]
+    # work[i] packs B u_i in its low n bits and u_i above them, so a single
+    # XOR updates both; qm holds Q(u_i) at bit i.
+    work = [r | (1 << (n + i)) for i, r in enumerate(rows)]
+    alive = (1 << n) - 1
+    qm = diag
     pairs: list[tuple[int, int]] = []
     radical: list[int] = []
-    while working:
-        v, pv = working[0]
-        for k in range(1, len(working)):
-            w = working[k][0]
-            if (pv & w).bit_count() & 1:
-                break
-        else:
-            radical.append(v)
-            working = working[1:]
+    pair_q = radical_q = 0
+    while alive:
+        low = alive & -alive
+        alive ^= low
+        v = low.bit_length() - 1
+        wv = work[v]
+        partners = wv & alive
+        if not partners:
+            radical_q |= (qm >> v & 1) << len(radical)
+            radical.append(wv >> n)
             continue
-        pairs.append((v, w))
-        rest = []
-        for u, pu in working[1:k] + working[k + 1 :]:
-            if (pu & w).bit_count() & 1:
-                u ^= v
-            if (pu & v).bit_count() & 1:
-                u ^= w
-            rest.append((u, pu))
-        working = rest
-    return pairs, radical
+        low = partners & -partners
+        alive ^= low
+        w = low.bit_length() - 1
+        ww = work[w]
+        qv, qw = qm >> v & 1, qm >> w & 1
+        pair_q |= (qv | qw << 1) << (2 * len(pairs))
+        pairs.append((wv >> n, ww >> n))
+        # u gains v where B(u, w) = 1 (am) and w where B(u, v) = 1 (bm), so
+        # Q(u) gains Q(v) on am, Q(w) on bm, and B(u, v) + B(u, w) + B(v, w)
+        # = 1 on am & bm.
+        am = ww & alive
+        bm = partners ^ low
+        qm ^= (am if qv else 0) ^ (bm if qw else 0) ^ (am & bm)
+        while am:
+            i = am.bit_length() - 1
+            work[i] ^= wv
+            am ^= 1 << i
+        while bm:
+            i = bm.bit_length() - 1
+            work[i] ^= ww
+            bm ^= 1 << i
+    return pairs, radical, pair_q | radical_q << (2 * len(pairs))
 
 
 @lru_cache(maxsize=None)

@@ -32,6 +32,10 @@ from .f2linalg import (
 )
 
 
+# 2^20 entries is about 8 MiB of tuple; each added dimension doubles it.
+VALUE_TABLE_DIM_CAP = 20
+
+
 class Kind(enum.Enum):
     PLUS = "Plus"
     MINUS = "Minus"
@@ -65,7 +69,10 @@ class QuadraticForm:
 
     @cached_property
     def value_table(self) -> tuple[int, ...]:
-        """Q(v) for every v in 0..2^dim-1 (only materialized for small dims)."""
+        """Q(v) for every v in 0..2^dim-1; raises ValueError above
+        VALUE_TABLE_DIM_CAP, before any entry is built."""
+        if self.dim > VALUE_TABLE_DIM_CAP:
+            raise ValueError(f"value table capped at dimension {VALUE_TABLE_DIM_CAP}")
         return tuple(self.eval_bits(v) for v in range(1 << self.dim))
 
     def is_zero_form(self) -> bool:
@@ -244,19 +251,22 @@ class FormClass:
 
 def _split(
     q: QuadraticForm,
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[int]]:
-    """(minus, plus, radical) from one symplectic basis of B_Q.
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[int], int]:
+    """(minus, plus, radical, radical_q) from one symplectic basis of B_Q.
 
     A pair (a, b) with Q(a) = Q(b) = 1 spans an H- block and goes to minus
     unchanged; every other pair is rewritten to (a', b') with
-    Q(a') = Q(b') = 0 and goes to plus.
+    Q(a') = Q(b') = 0 and goes to plus.  radical_q holds Q(r_i) at bit i.
+    The decomposition reports Q on every vector it outputs, so this costs
+    one ``symplectic_basis`` call and no evaluation of Q: O(n^2) word
+    operations at dim n.
     """
-    pairs, radical = symplectic_basis(q.polar())
-    ev = q.eval_bits
+    pairs, radical, values = symplectic_basis(q.polar(), q.diag)
     plus: list[tuple[int, int]] = []
     minus: list[tuple[int, int]] = []
     for a, b in pairs:
-        qa, qb = ev(a), ev(b)
+        qa, qb = values & 1, values & 2
+        values >>= 2
         if qa and qb:
             minus.append((a, b))
         elif qa:
@@ -265,7 +275,7 @@ def _split(
             plus.append((a, a ^ b))
         else:
             plus.append((a, b))
-    return minus, plus, radical
+    return minus, plus, radical, values
 
 
 def classify(q: QuadraticForm) -> FormClass:
@@ -274,16 +284,17 @@ def classify(q: QuadraticForm) -> FormClass:
     Radical of the polar form first; if Q is nonzero there the class is QOne
     (which absorbs the Arf sign).  Otherwise the Arf invariant, the sum of
     Q(a)Q(b) over the symplectic pairs, is the parity of the H- pairs of
-    ``_split`` and separates Plus from Minus.
+    ``_split`` and separates Plus from Minus.  Both read the Q values that
+    ``symplectic_basis`` reports, so the cost is one decomposition.
     """
     n = q.dim
     if q.is_zero_form():
         return FormClass(n, 0, Kind.ZERO, n)
-    minus, plus, radical = _split(q)
+    minus, plus, _, radical_q = _split(q)
     m1 = len(minus) + len(plus)
     m2 = n - 2 * m1
     # Q restricted to the radical is linear, so basis values decide it.
-    if any(q.eval_bits(r) for r in radical):
+    if radical_q:
         return FormClass(n, m1, Kind.QONE, m2)
     return FormClass(n, m1, Kind.MINUS if len(minus) % 2 else Kind.PLUS, m2)
 
@@ -326,9 +337,7 @@ def normal_form_witness(q: QuadraticForm) -> Isometry:
     n = q.dim
     if n == 0:
         return Isometry(BitMatrix.identity(0))
-    minus, plus, rads = _split(q)
-    ev = q.eval_bits
-    q_on_radical = any(ev(r) for r in rads)
+    minus, plus, rads, radical_q = _split(q)
 
     while len(minus) >= 2:
         p1, p2 = _combine_minus_pairs(minus[0], minus[1])
@@ -336,10 +345,12 @@ def normal_form_witness(q: QuadraticForm) -> Isometry:
         plus = [p1, p2] + plus
 
     cols: list[int] = []
-    if q_on_radical:
-        idx = next(i for i, r in enumerate(rads) if ev(r))
+    if radical_q:
+        idx = (radical_q & -radical_q).bit_length() - 1
         r1 = rads[idx]
-        others = [r if not ev(r) else r ^ r1 for i, r in enumerate(rads) if i != idx]
+        others = [
+            r ^ r1 if radical_q >> i & 1 else r for i, r in enumerate(rads) if i != idx
+        ]
         if minus:
             a, b = minus.pop()
             plus = [(a ^ r1, b ^ r1)] + plus

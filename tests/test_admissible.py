@@ -12,6 +12,9 @@ from gexforms.admissible import (
     is_admissible_bruteforce,
 )
 from gexforms.quadform import (
+    FormClass,
+    Kind,
+    QuadraticForm,
     all_forms,
     change_basis,
     classify,
@@ -22,6 +25,7 @@ from gexforms.quadform import (
     q_one,
     random_form,
     random_invertible,
+    standard_form,
     sum_forms,
     zero_form,
 )
@@ -121,6 +125,53 @@ def test_witness_pull_back_matches_matvec():
             t = normal_form_witness(q).map
             assert w == tuple(t.matvec_bits(v) for v in _standard_basis(fc))
     assert len(kinds) == 3
+
+
+def _random_class(dim, rng):
+    m1 = rng.randint(0, dim // 2)
+    m2 = dim - 2 * m1
+    kinds = [Kind.PLUS, Kind.MINUS] if m1 else [Kind.ZERO]
+    if m2:
+        kinds.append(Kind.QONE)
+    return FormClass(dim, m1, rng.choice(kinds), m2)
+
+
+def test_decision_paths_never_evaluate_the_form(monkeypatch):
+    """classify, normal_form_witness, is_admissible and admissible_witness
+    read Q off the symplectic decomposition alone, on hidden forms of every
+    class at dims 0-64.  The references are taken before eval_bits is
+    switched off, because change_basis and check_basis evaluate Q."""
+    rng = random.Random(RNG_SEED + 5)
+    forms = []
+    for dim in range(65):
+        for _ in range(2):
+            fc = _random_class(dim, rng)
+            q = change_basis(standard_form(fc), random_invertible(dim, rng))
+            forms.append((q, fc))
+
+    def run(q):
+        return (
+            classify(q),
+            normal_form_witness(q),
+            is_admissible(q),
+            admissible_witness(q),
+        )
+
+    references = [run(q) for q, _ in forms]
+    for (q, fc), ref in zip(forms, references):
+        assert ref[0] == fc
+        assert change_basis(q, ref[1].map) == standard_form(fc)
+        if ref[2]:
+            assert check_basis(q, ref[3])
+        else:
+            assert ref[3] is None
+
+    def no_eval(self, v):
+        raise AssertionError("the decision path evaluated the form")
+
+    monkeypatch.setattr(QuadraticForm, "eval_bits", no_eval)
+    for (q, _), ref in zip(forms, references):
+        assert run(q) == ref, q.to_string()
 
 
 def test_witness_each_admissible_class_shape():

@@ -138,19 +138,20 @@ def test_is_invertible():
 
 
 def test_symplectic_zero_form():
-    pairs, radical = symplectic_basis(BitMatrix(3, 3, (0,) * 3))
+    pairs, radical, values = symplectic_basis(BitMatrix(3, 3, (0,) * 3))
     assert pairs == []
     assert len(radical) == 3
+    assert values == 0
 
 
 def test_symplectic_hyperbolic():
     b = BitMatrix(2, 2, (0b10, 0b01))
-    pairs, radical = symplectic_basis(b)
+    pairs, radical, _ = symplectic_basis(b)
     assert len(pairs) == 1 and radical == []
 
 
 def test_symplectic_cycle():
-    pairs, radical = symplectic_basis(CYCLE3)
+    pairs, radical, _ = symplectic_basis(CYCLE3)
     assert len(pairs) == 1
     assert radical == [0b111]
 
@@ -174,7 +175,7 @@ def test_symplectic_block_structure_random():
                     data[i] |= 1 << j
                     data[j] |= 1 << i
         b = BitMatrix(n, n, tuple(data))
-        pairs, radical = symplectic_basis(b)
+        pairs, radical, _ = symplectic_basis(b)
         assert 2 * len(pairs) == rank(b)
         cols = [v for p in pairs for v in p] + radical
         t = BitMatrix.from_cols(n, cols)
@@ -235,6 +236,14 @@ def test_symplectic_rejects_asymmetry_in_high_row():
         symplectic_basis(BitMatrix(6, 6, tuple(diagonal)))
 
 
+def test_symplectic_rejects_diag_beyond_dimension():
+    b = BitMatrix(2, 2, (0b10, 0b01))
+    assert symplectic_basis(b, 0b11)[2] == 0b11
+    for diag in (0b100, 1 << 64, -1):
+        with pytest.raises(ValueError, match="diag bits set beyond dimension"):
+            symplectic_basis(b, diag)
+
+
 def _reference_symplectic_basis(b):
     """The original bit-by-bit decomposition, kept as the reference: B(u, w)
     accumulates the rows of b selected by u, one bit at a time."""
@@ -276,7 +285,9 @@ def _reference_symplectic_basis(b):
     return pairs, radical
 
 
-def test_symplectic_matches_reference_bit_for_bit():
+def _reference_corpus():
+    """Forms of every dim 0-64: random, radical-heavy, and (every fourth dim)
+    radical-heavy behind a hidden basis."""
     rng = random.Random(17)
     forms = []
     for d in range(65):
@@ -286,6 +297,20 @@ def test_symplectic_matches_reference_bit_for_bit():
         forms.append(radical_heavy)
         if d % 4 == 0:
             forms.append(change_basis(radical_heavy, random_invertible(d, rng)))
-    for q in forms:
+    return forms
+
+
+def test_symplectic_matches_reference_bit_for_bit():
+    for q in _reference_corpus():
         b = q.polar()
-        assert symplectic_basis(b) == _reference_symplectic_basis(b), q.to_string()
+        assert symplectic_basis(b)[:2] == _reference_symplectic_basis(b), q.to_string()
+
+
+def test_symplectic_values_match_eval_bits():
+    """Bit j of values is Q of the j-th output vector: a_1, b_1, ..., a_m,
+    b_m, then the radical in order."""
+    for q in _reference_corpus():
+        pairs, radical, values = symplectic_basis(q.polar(), q.diag)
+        vectors = [v for pair in pairs for v in pair] + radical
+        expected = sum(q.eval_bits(v) << j for j, v in enumerate(vectors))
+        assert values == expected, q.to_string()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gexforms.f2linalg import BitMatrix, invertible_matrices, symplectic_basis
 from gexforms.quadform import (
+    VALUE_TABLE_DIM_CAP,
     FormClass,
     Kind,
     QuadraticForm,
@@ -199,7 +200,7 @@ def _kind_by_arf_sum(q):
     else Minus iff the sum of Q(a)Q(b) over the symplectic pairs is 1."""
     if q.is_zero_form():
         return Kind.ZERO
-    pairs, radical = symplectic_basis(q.polar())
+    pairs, radical, _ = symplectic_basis(q.polar())
     if any(q.eval_bits(r) for r in radical):
         return Kind.QONE
     arf = 0
@@ -311,6 +312,21 @@ def _reference_oracle(q, q2):
         if all(t2[images[v]] == t1[v] for v in range(1 << n)):
             return t.data
     return None
+
+
+def test_value_table_cap_raises_before_building(monkeypatch):
+    """At dim VALUE_TABLE_DIM_CAP + 1 the table would hold 2^21 entries; the
+    cap must refuse before Q is evaluated even once."""
+    assert VALUE_TABLE_DIM_CAP == 20
+    rng = random.Random(RNG_SEED + 12)
+    q = random_form(VALUE_TABLE_DIM_CAP + 1, rng)
+
+    def no_eval(self, v):
+        raise AssertionError("value_table evaluated the form")
+
+    monkeypatch.setattr(QuadraticForm, "eval_bits", no_eval)
+    with pytest.raises(ValueError, match="value table capped at dimension 20"):
+        q.value_table
 
 
 def test_oracle_matches_matvec_loop():
