@@ -30,12 +30,13 @@ def _row_image(rows, v: int) -> int:
     return acc
 
 
-def _transpose_block(w: int) -> tuple[str, int, tuple[tuple[int, int], ...]]:
-    """(array typecode, byte count, delta swaps) for a w x w bit block.
+def _block(w: int) -> tuple[str, int, int, tuple[tuple[int, int], ...]]:
+    """(array typecode, w, slot ones, delta swaps) for a w x w bit block.
 
-    Row i of the block sits at bits i*w .. i*w + w - 1 of one int.  The swap
-    with half-width s exchanges bit (i, j) with bit (i + s, j - s) wherever
-    bit s of i is clear and bit s of j is set: positions p and p + s(w - 1).
+    Row i of the block sits at bits i*w .. i*w + w - 1 of one int; the slot
+    ones mask holds bit 0 of every row.  The swap with half-width s exchanges
+    bit (i, j) with bit (i + s, j - s) wherever bit s of i is clear and bit s
+    of j is set: positions p and p + s(w - 1).
     """
     tc = next(c for c in "BHILQ" if array(c).itemsize * 8 == w)
     steps = []
@@ -45,16 +46,25 @@ def _transpose_block(w: int) -> tuple[str, int, tuple[tuple[int, int], ...]]:
         mask = sum(in_row << (i * w) for i in range(w) if not i & s)
         steps.append((s * (w - 1), mask))
         s //= 2
-    return tc, w * w // 8, tuple(steps)
+    ones = sum(1 << (i * w) for i in range(w))
+    return tc, w, ones, tuple(steps)
 
 
-_BLOCKS = {w: _transpose_block(w) for w in (8, 16, 32, 64)}
+_BLOCKS = {w: _block(w) for w in (8, 16, 32, 64)}
 # The smallest block holding an n x n matrix, for n = 0..MAX_DIM.
 _BLOCK_FOR = tuple(
     _BLOCKS[next(w for w in (8, 16, 32, 64) if n <= w)] for n in range(MAX_DIM + 1)
 )
 # array holds native byte order; the packed int reads it as little-endian.
 _SWAP = sys.byteorder == "big"
+
+
+def _pack(rows, tc: str) -> int:
+    """The rows as consecutive slots of one int, each as wide as typecode tc."""
+    a = array(tc, rows)
+    if _SWAP:
+        a.byteswap()
+    return int.from_bytes(a, "little")
 
 
 def _transpose_rows(rows, cols: int) -> list[int]:
@@ -65,15 +75,12 @@ def _transpose_rows(rows, cols: int) -> list[int]:
     the smallest that holds both sizes), which log2(w) delta swaps transpose
     (Hacker's Delight, section 7-3): O(log w) operations on w^2-bit ints.
     """
-    tc, nbytes, steps = _BLOCK_FOR[max(len(rows), cols)]
-    a = array(tc, rows)
-    if _SWAP:
-        a.byteswap()
-    x = int.from_bytes(a, "little")
+    tc, w, _, steps = _BLOCK_FOR[max(len(rows), cols)]
+    x = _pack(rows, tc)
     for d, m in steps:
         t = (x ^ (x >> d)) & m
         x ^= t ^ (t << d)
-    a = array(tc, x.to_bytes(nbytes, "little"))
+    a = array(tc, x.to_bytes(w * w // 8, "little"))
     if _SWAP:
         a.byteswap()
     return a[:cols].tolist()
@@ -121,56 +128,69 @@ class BitMatrix:
         ]
 
 
-def _row_reduce(m: BitMatrix) -> tuple[list[int], list[int]]:
-    """Gauss-Jordan elimination, lowest-index pivot first.
+def _echelon(m: BitMatrix) -> list[tuple[int, int]]:
+    """Forward elimination: the (pivot column, pivot row) pairs of a row
+    echelon form of M, by increasing column.
 
-    Returns the reduced rows and the pivot columns: row i holds the pivot of
-    column pivots[i] for i < len(pivots), and the remaining rows are zero.
+    Each pivot row has its lowest set bit at its own column and no bit at an
+    earlier pivot column; later pivot columns may still be set in it.  Relies
+    on every row being below 2^m.cols, as BitMatrix enforces: a wider row
+    could spill into the next row's slot of the packed block.
+
+    Word-parallel, in the manner of M4RI: the rows are packed into one int as
+    a w x w block (w = 8, 16, 32 or 64, as in _transpose_rows).  For column
+    c, sel = (x >> c) & ones marks the rows with bit c; the highest marked
+    row is the pivot p, and x ^= sel * p clears column c in every marked row
+    at once, the pivot row included.  The product is carry-free because each
+    slot of sel selects one copy of p < 2^w.  Every pivot removes one row, so
+    the loop stops when x is zero; taking the highest row lets x shrink as
+    its top rows go.  O(cols) operations on ints of at most w^2 bits.
     """
-    rows = list(m.data)
-    pivots: list[int] = []
-    for col in range(m.cols):
-        bit = 1 << col
-        r = len(pivots)
-        for i in range(r, len(rows)):
-            if rows[i] & bit:
+    tc, w, ones, _ = _BLOCK_FOR[max(m.rows, m.cols)]
+    x = _pack(m.data, tc)
+    mask = (1 << w) - 1
+    pivots = []
+    for c in range(m.cols):
+        sel = (x >> c) & ones
+        if sel:
+            p = (x >> (sel.bit_length() - 1)) & mask
+            x ^= sel * p
+            pivots.append((c, p))
+            if not x:
                 break
-        else:
-            continue
-        # Swap the pivot row into place and clear its column everywhere; the
-        # pivot row clears itself, so it is put back afterwards.
-        p = rows[i]
-        rows[i] = rows[r]
-        rows = [row ^ p if row & bit else row for row in rows]
-        rows[r] = p
-        pivots.append(col)
-    return rows, pivots
+    return pivots
 
 
 def rank(m: BitMatrix) -> int:
-    """GF(2) rank: the number of pivots of the reduced row-echelon form."""
-    return len(_row_reduce(m)[1])
+    """GF(2) rank: the number of pivots of the packed forward elimination
+    _echelon, O(cols) operations on one int of at most 64^2 bits, for rows
+    below 2^cols as BitMatrix enforces.  Counting them needs no
+    back-substitution."""
+    return len(_echelon(m))
 
 
 def kernel_basis(m: BitMatrix) -> list[int]:
     """A basis of the right kernel {v : Mv = 0} as packed vectors of dimension
     m.cols, in deterministic order.
 
-    Reduces M to reduced row-echelon form; each free column yields one basis
-    vector with a 1 in that column and back-substituted pivot entries.
+    Back-substitutes the pivot rows of _echelon, last to first, into the
+    reduced row-echelon form (unique, so independent of the pivot choice);
+    each free column, in increasing order, yields one basis vector with a 1
+    in that column and, at each pivot column, that pivot row's bit in the
+    free column.  One transpose reads those bits for every free column.
     """
-    rows, pivots = _row_reduce(m)
-    pivot_set = set(pivots)
-    basis = []
-    for col in range(m.cols):
-        if col in pivot_set:
-            continue
-        bits = 1 << col
-        for pr, pc in enumerate(pivots):
-            if (rows[pr] >> col) & 1:
-                bits |= 1 << pc
-        basis.append(bits)
-    return basis
+    reduced = [0] * m.cols  # the reduced row whose pivot is column c
+    pivot_mask = 0
+    for c, p in reversed(_echelon(m)):
+        t = p & pivot_mask  # later pivot columns: their rows are reduced
+        while t:
+            low = t & -t
+            p ^= reduced[low.bit_length() - 1]
+            t ^= low
+        reduced[c] = p
+        pivot_mask |= 1 << c
+    cols = _transpose_rows(reduced, m.cols)
+    return [cols[c] | 1 << c for c in range(m.cols) if not pivot_mask >> c & 1]
 
 
 def is_invertible(m: BitMatrix) -> bool:

@@ -101,6 +101,31 @@ def test_kernel_vectors_annihilate_and_are_independent():
                 assert got == _reference_rank_and_kernel(m), m.data
 
 
+def test_rank_and_kernel_match_reference_at_block_width_edges():
+    """Every shape whose larger side sits at, just below or just above a
+    packed block width (8, 16, 32, 64), tall and wide, plus square matrices
+    made rank-deficient by one column that is the XOR of two others."""
+    rng = random.Random(23)
+    for n in (7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64):
+        shapes = [(n, k) for k in range(n + 1)] + [(k, n) for k in range(n)]
+        for rows, cols in shapes:
+            for data in (
+                [rng.getrandbits(cols) for _ in range(rows)],
+                [rng.getrandbits(cols) & rng.getrandbits(cols) for _ in range(rows)],
+            ):
+                m = BitMatrix(rows, cols, tuple(data))
+                expected = _reference_rank_and_kernel(m)
+                assert (rank(m), kernel_basis(m)) == expected, m.data
+        for _ in range(5):
+            a, b, c = rng.sample(range(n), 3)
+            cols = [rng.getrandbits(n) for _ in range(n)]
+            cols[c] = cols[a] ^ cols[b]
+            m = BitMatrix.from_cols(n, cols)
+            expected = _reference_rank_and_kernel(m)
+            assert expected[0] < n
+            assert (rank(m), kernel_basis(m)) == expected, (n, m.data)
+
+
 def _reference_transpose_rows(rows, cols):
     """The set-bit walk that _transpose_rows replaced, kept as the reference."""
     data = [0] * cols

@@ -5,10 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gexforms.f2linalg import BitMatrix, invertible_matrices, symplectic_basis
+from gexforms.f2linalg import (
+    BitMatrix,
+    _transpose_rows,
+    invertible_matrices,
+    symplectic_basis,
+)
 from gexforms.quadform import (
     VALUE_TABLE_DIM_CAP,
     FormClass,
+    Isometry,
     Kind,
     QuadraticForm,
     all_forms,
@@ -378,6 +384,28 @@ def test_change_basis_requires_invertible():
         change_basis(h_plus(), BitMatrix(2, 2, (0,) * 2))
     with pytest.raises(ValueError):
         change_basis(h_plus(), BitMatrix.identity(3))
+
+
+def test_witness_checks_reject_a_dependent_column():
+    """Isometry and change_basis run a full rank check: one column that is the
+    XOR of two others makes the map singular, and both must reject it."""
+    rng = random.Random(29)
+    for dim in (1, 8, 9, 33, 64):
+        t = random_invertible(dim, rng)
+        q = random_form(dim, rng)
+        Isometry(t)
+        assert change_basis(q, t).dim == dim
+        cols = _transpose_rows(t.data, dim)
+        if dim >= 3:
+            a, b, c = rng.sample(range(dim), 3)
+            cols[c] = cols[a] ^ cols[b]
+        else:  # too few columns for two others: the only singular 1 x 1 map is 0
+            cols[0] = 0
+        singular = BitMatrix.from_cols(dim, cols)
+        with pytest.raises(ValueError, match="must be invertible"):
+            Isometry(singular)
+        with pytest.raises(ValueError, match="must be invertible"):
+            change_basis(q, singular)
 
 
 def test_class_counts_per_dimension():
