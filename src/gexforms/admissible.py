@@ -9,7 +9,7 @@ independent oracle.
 
 from __future__ import annotations
 
-from .f2linalg import BitMatrix, _row_image, _transpose_rows, is_invertible
+from .f2linalg import BitMatrix, _row_image, _transpose_rows, is_invertible, rank
 from .quadform import FormClass, Kind, QuadraticForm, classify, normal_form_witness
 
 
@@ -146,12 +146,8 @@ def is_admissible_bruteforce(q: QuadraticForm) -> tuple[int, ...] | None:
     if len(candidates) < n:
         return None
 
-    # Candidates must span the whole space.
-    span = {0}
-    for v in candidates:
-        if v not in span:
-            span |= {s ^ v for s in span}
-    if len(span) != 1 << n:
+    # Candidates must span the whole space; at most 2^6 - 1 rows under the cap.
+    if rank(BitMatrix(len(candidates), n, tuple(candidates))) < n:
         return None
 
     k = len(candidates)

@@ -13,8 +13,10 @@ from . import clifford, gexgroup, quadform, verify
 from .f2linalg import BitMatrix
 
 CAPS_NOTE = (
-    "caps: isometry oracle dim <= 4 (exhaustive GL search), admissibility "
-    "oracle dim <= 6, group models dim <= 16, E(n) table n <= 17"
+    f"caps: isometry oracle dim <= {quadform.ORACLE_DIM_CAP} (exhaustive GL "
+    f"search), admissibility oracle dim <= {adm.BRUTEFORCE_DIM_CAP}, group models "
+    f"dim <= {gexgroup.FROM_FORM_DIM_CAP}, group isomorphism oracle order <= "
+    f"{gexgroup.ISO_ORACLE_ORDER_CAP}, E(n) table n <= {clifford.MAX_N}"
 )
 
 
@@ -175,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_central_product)
 
     p = sub.add_parser("en", help="one row of the E(n) x Z2 decomposition table")
-    p.add_argument("n", type=int, help="2 <= n <= 17")
+    p.add_argument("n", type=int, help=f"2 <= n <= {clifford.MAX_N}")
     p.set_defaults(fn=cmd_en)
 
     p = sub.add_parser(

@@ -6,8 +6,10 @@ GF(2)^l is isometric to exactly one of
 
     H+^m1 (+) 0^m2        H- (+) H+^(m1-1) (+) 0^m2        H+^m1 (+) Q1 (+) 0^(m2-1)
 
-with 2*m1 + m2 = l, plus the zero form; ``classify`` computes which, and
-``normal_form_witness`` produces an explicit change of basis onto it.
+with 2*m1 + m2 = l, plus the zero form.  ``_normal_basis`` decides which
+from one symplectic decomposition, and is the one place that lays out the
+standard basis: H- first, then H+ blocks, then Q1, then zeros.  ``classify``
+returns its class and ``normal_form_witness`` its change of basis.
 """
 
 from __future__ import annotations
@@ -203,11 +205,10 @@ def change_basis(q: QuadraticForm, t: BitMatrix) -> QuadraticForm:
     polar = q.polar().data
     diag = 0
     upper = [0] * n
-    for i in range(n):
-        diag |= q.eval_bits(cols[i]) << i
-        img = _row_image(polar, cols[i])  # B_Q(Te_i, w) = parity(img & w)
-        for j in range(i + 1, n):
-            upper[i] |= _parity(img & cols[j]) << j
+    for i, c in enumerate(cols):
+        diag |= q.eval_bits(c) << i
+        # Row i of T^T B_Q T: B_Q(Te_i, Te_j) at bit j, kept above bit i.
+        upper[i] = _row_image(t.data, _row_image(polar, c)) >> (i + 1) << (i + 1)
     return QuadraticForm(n, diag, tuple(upper))
 
 
@@ -249,54 +250,62 @@ class FormClass:
         return " + ".join(parts) if parts else "0^0"
 
 
-def _split(
-    q: QuadraticForm,
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[int], int]:
-    """(minus, plus, radical, radical_q) from one symplectic basis of B_Q.
+def _normal_basis(q: QuadraticForm) -> tuple[FormClass, list[int]]:
+    """The class of q and the columns of a witness T onto standard_form of it.
 
-    A pair (a, b) with Q(a) = Q(b) = 1 spans an H- block and goes to minus
-    unchanged; every other pair is rewritten to (a', b') with
-    Q(a') = Q(b') = 0 and goes to plus.  radical_q holds Q(r_i) at bit i.
-    The decomposition reports Q on every vector it outputs, so this costs
-    one ``symplectic_basis`` call and no evaluation of Q: O(n^2) word
-    operations at dim n.
+    The one place that knows the standard layout: H- first, then the H+
+    blocks, then Q1, then zeros.  One ``symplectic_basis`` call gives the
+    pairs, the radical and Q on each of them, so no Q is evaluated: O(n^2)
+    word operations at dim n.
+    - A pair (a, b) with Q(a) = Q(b) = 1 spans an H- plane and is kept; every
+      other pair is rewritten to an H+ pair (a', b'), Q(a') = Q(b') = 0.
+    - Two H- planes (a1, b1), (a2, b2) span H+ (+) H+, with the pairs
+      (a1 + s2, b1 + s2) and (a2 + s1, b2 + s1), s_i = a_i + b_i.  So the Arf
+      invariant is the parity of the H- planes, and at most one is left over:
+      the class is Minus when one is, else Plus, or Zero when there is no
+      pair at all.
+    - Q restricted to the radical is linear, so its basis values decide it.
+      If Q is nonzero there, the class is QOne: r1 is the first radical
+      vector with Q(r1) = 1, r1 is added to the other such vectors and to
+      the leftover H- plane, which becomes an H+ plane.
     """
+    n = q.dim
     pairs, radical, values = symplectic_basis(q.polar(), q.diag)
-    plus: list[tuple[int, int]] = []
-    minus: list[tuple[int, int]] = []
+    minus: list[int] = []  # columns, two per plane
+    plus: list[int] = []
     for a, b in pairs:
         qa, qb = values & 1, values & 2
         values >>= 2
         if qa and qb:
-            minus.append((a, b))
+            minus += (a, b)
         elif qa:
-            plus.append((b, a ^ b))
+            plus += (b, a ^ b)
         elif qb:
-            plus.append((a, a ^ b))
+            plus += (a, a ^ b)
         else:
-            plus.append((a, b))
-    return minus, plus, radical, values
+            plus += (a, b)
+    for i in range(0, len(minus) - 3, 4):
+        a1, b1, a2, b2 = minus[i : i + 4]
+        s1, s2 = a1 ^ b1, a2 ^ b2
+        plus[:0] = (a1 ^ s2, b1 ^ s2, a2 ^ s1, b2 ^ s1)
+    lead = minus[-2:] if len(minus) % 4 else []
+    kind = Kind.MINUS if lead else Kind.PLUS if pairs else Kind.ZERO
+    if values:  # Q on the radical, at bit i for radical[i]
+        idx = (values & -values).bit_length() - 1
+        r1 = radical[idx]
+        lead = [v ^ r1 for v in lead]
+        radical = [r1] + [
+            r ^ r1 if values >> i & 1 else r for i, r in enumerate(radical) if i != idx
+        ]
+        kind = Kind.QONE
+    m1 = len(pairs)
+    return FormClass(n, m1, kind, n - 2 * m1), lead + plus + radical
 
 
 def classify(q: QuadraticForm) -> FormClass:
-    """Normal-form descriptor of q (complete isometry invariant).
-
-    Radical of the polar form first; if Q is nonzero there the class is QOne
-    (which absorbs the Arf sign).  Otherwise the Arf invariant, the sum of
-    Q(a)Q(b) over the symplectic pairs, is the parity of the H- pairs of
-    ``_split`` and separates Plus from Minus.  Both read the Q values that
-    ``symplectic_basis`` reports, so the cost is one decomposition.
-    """
-    n = q.dim
-    if q.is_zero_form():
-        return FormClass(n, 0, Kind.ZERO, n)
-    minus, plus, _, radical_q = _split(q)
-    m1 = len(minus) + len(plus)
-    m2 = n - 2 * m1
-    # Q restricted to the radical is linear, so basis values decide it.
-    if radical_q:
-        return FormClass(n, m1, Kind.QONE, m2)
-    return FormClass(n, m1, Kind.MINUS if len(minus) % 2 else Kind.PLUS, m2)
+    """Normal-form descriptor of q (complete isometry invariant), as
+    ``_normal_basis`` decides it: one symplectic decomposition."""
+    return _normal_basis(q)[0]
 
 
 def standard_form(fc: FormClass) -> QuadraticForm:
@@ -322,50 +331,10 @@ def is_isometric(q: QuadraticForm, q2: QuadraticForm) -> bool:
 # -- constructive witnesses ---------------------------------------------------
 
 
-def _combine_minus_pairs(
-    p1: tuple[int, int], p2: tuple[int, int]
-) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Rewrite two H- hyperbolic pairs as two H+ pairs spanning the same space."""
-    a1, b1 = p1
-    a2, b2 = p2
-    return (a1 ^ a2 ^ b2, b1 ^ a2 ^ b2), (a2 ^ a1 ^ b1, b2 ^ a1 ^ b1)
-
-
 def normal_form_witness(q: QuadraticForm) -> Isometry:
     """An invertible T with change_basis(q, T) equal, datum for datum, to
     standard_form(classify(q))."""
-    n = q.dim
-    if n == 0:
-        return Isometry(BitMatrix.identity(0))
-    minus, plus, rads, radical_q = _split(q)
-
-    while len(minus) >= 2:
-        p1, p2 = _combine_minus_pairs(minus[0], minus[1])
-        minus = minus[2:]
-        plus = [p1, p2] + plus
-
-    cols: list[int] = []
-    if radical_q:
-        idx = (radical_q & -radical_q).bit_length() - 1
-        r1 = rads[idx]
-        others = [
-            r ^ r1 if radical_q >> i & 1 else r for i, r in enumerate(rads) if i != idx
-        ]
-        if minus:
-            a, b = minus.pop()
-            plus = [(a ^ r1, b ^ r1)] + plus
-        for a, b in plus:
-            cols.extend((a, b))
-        cols.append(r1)
-        cols.extend(others)
-    else:
-        for a, b in minus:
-            cols.extend((a, b))
-        for a, b in plus:
-            cols.extend((a, b))
-        cols.extend(rads)
-
-    return Isometry(BitMatrix.from_cols(n, cols))
+    return Isometry(BitMatrix.from_cols(q.dim, _normal_basis(q)[1]))
 
 
 # -- exhaustive oracle --------------------------------------------------------

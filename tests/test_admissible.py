@@ -174,6 +174,48 @@ def test_decision_paths_never_evaluate_the_form(monkeypatch):
         assert run(q) == ref, q.to_string()
 
 
+def _all_classes(dim):
+    yield FormClass(dim, 0, Kind.ZERO, dim)
+    for m1 in range(dim // 2 + 1):
+        m2 = dim - 2 * m1
+        if m1:
+            yield FormClass(dim, m1, Kind.PLUS, m2)
+            yield FormClass(dim, m1, Kind.MINUS, m2)
+        if m2:
+            yield FormClass(dim, m1, Kind.QONE, m2)
+
+
+def _theorem_admissible(fc):
+    """The theorem's table, written out: Plus with m1 >= 2, any Minus, QOne
+    with m1 >= 2; never Zero."""
+    if fc.kind is Kind.MINUS:
+        return True
+    return fc.kind in (Kind.PLUS, Kind.QONE) and fc.m1 >= 2
+
+
+def test_every_class_behind_a_hidden_basis():
+    """Every class at dims 0-16 and at dim 64, its standard form hidden
+    behind a seeded random basis: classify finds the class, the witness
+    carries the form back onto the standard form, and the verdict follows
+    the theorem's table with a basis that check_basis accepts."""
+    rng = random.Random(RNG_SEED + 6)
+    dims = [*range(17), 64]
+    classes = [fc for dim in dims for fc in _all_classes(dim)]
+    assert len(classes) == 217 + 97
+    for fc in classes:
+        q = change_basis(standard_form(fc), random_invertible(fc.dim, rng))
+        assert classify(q) == fc, q.to_string()
+        t = normal_form_witness(q).map
+        assert change_basis(q, t) == standard_form(fc), q.to_string()
+        expected = _theorem_admissible(fc)
+        assert is_admissible(q) is expected, q.to_string()
+        w = admissible_witness(q)
+        if expected:
+            assert check_basis(q, w), q.to_string()
+        else:
+            assert w is None
+
+
 def test_witness_each_admissible_class_shape():
     # one representative per admissible class shape, zeros included
     shapes = [

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gexforms import verify
+from gexforms import admissible, clifford, gexgroup, quadform, verify
 from gexforms.cli import main
 from gexforms.verify import DEFAULT_SEED, get_seed, run_suite
 
@@ -160,6 +160,22 @@ def test_en_bounds(capsys):
     assert code == 2
     code, _, err = run(capsys, "en", "18")
     assert code == 2
+
+
+def test_help_names_each_cap(capsys):
+    """--help states the current value of every cap, read from its constant."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+    for phrase in (
+        f"isometry oracle dim <= {quadform.ORACLE_DIM_CAP} (exhaustive GL search)",
+        f"admissibility oracle dim <= {admissible.BRUTEFORCE_DIM_CAP}",
+        f"group models dim <= {gexgroup.FROM_FORM_DIM_CAP}",
+        f"group isomorphism oracle order <= {gexgroup.ISO_ORACLE_ORDER_CAP}",
+        f"E(n) table n <= {clifford.MAX_N}",
+    ):
+        assert phrase in text
 
 
 def test_verify_paper_json(capsys, monkeypatch, suite_report):

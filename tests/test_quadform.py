@@ -257,6 +257,56 @@ def test_normal_form_witness_random_larger():
         assert change_basis(q, t) == standard_form(classify(q))
 
 
+# One hidden-basis form of dim 7 for each branch of the witness layout, with
+# the H- pairs and the radical vectors with Q = 1 that symplectic_basis finds
+# for it, its class, and the exact rows of normal_form_witness(q).map.
+WITNESS_BRANCHES = [
+    # no H- pair, Q = 0 on the radical
+    ("l=7;d=0110001;u=011110100101000101100", 0, 0, "H+^3 + 0",
+     (0b1010111, 0b1111000, 0b1001110, 0b0101100, 0b0100000, 0b1000000,
+      0b0110000)),
+    # one H- pair: it leads
+    ("l=7;d=1111010;u=011010111000000100101", 1, 0, "H- + H+^2 + 0",
+     (0b1010101, 0b1010100, 0b1010010, 0b1110000, 0b0101000, 0b0100000,
+      0b1000000)),
+    # two H- pairs: they span H+ (+) H+
+    ("l=7;d=1011011;u=001100100110111100011", 2, 0, "H+^3 + 0",
+     (0b1001010, 0b0111100, 0b1101011, 0b1001001, 0b1000111, 0b0001011,
+      0b1000000)),
+    # three H- pairs: two pair off, the third leads
+    ("l=7;d=1111001;u=100101000001111100111", 3, 0, "H- + H+^2 + 0",
+     (0b0110100, 0b1111010, 0b1011100, 0b1101111, 0b1000000, 0b0000001,
+      0b0000010)),
+    # QOne, no H- pair left over
+    ("l=7;d=1001101;u=001001111110000010110", 2, 1, "H+^3 + Q1",
+     (0b1100110, 0b0100000, 0b0111100, 0b1001110, 0b1000111, 0b1001011,
+      0b1000000)),
+    # QOne, the leftover H- pair shifted by r1
+    ("l=7;d=1101000;u=101100011011000111110", 1, 1, "H+^3 + Q1",
+     (0b1101010, 0b0101010, 0b0010100, 0b0001000, 0b0100000, 0b0110000,
+      0b1000011)),
+    # QOne, Q = 1 on three radical vectors: two of them shifted by r1
+    ("l=7;d=1110000;u=111011111100111101111", 1, 3, "H+^2 + Q1 + 0^2",
+     (0b1010110, 0b0110101, 0b0001100, 0b1110011, 0b0100000, 0b0001000,
+      0b1000000)),
+]
+
+
+@pytest.mark.parametrize("spec,n_minus,n_radical_q,describe,rows", WITNESS_BRANCHES)
+def test_normal_form_witness_exact_per_branch(
+    spec, n_minus, n_radical_q, describe, rows
+):
+    q = parse_form(spec)
+    pairs, _, values = symplectic_basis(q.polar(), q.diag)
+    minus = sum(values >> (2 * i) & 3 == 3 for i in range(len(pairs)))
+    assert (minus, (values >> (2 * len(pairs))).bit_count()) == (n_minus, n_radical_q)
+    fc = classify(q)
+    assert fc.describe() == describe
+    t = normal_form_witness(q).map
+    assert t.data == rows
+    assert change_basis(q, t) == standard_form(fc)
+
+
 def test_direct_sum_evaluates_blockwise():
     rng = random.Random(RNG_SEED + 4)
     for _ in range(50):
