@@ -9,7 +9,8 @@ independent oracle.
 
 from __future__ import annotations
 
-from .f2linalg import BitMatrix, _row_image, _transpose_rows, is_invertible, rank
+from .f2linalg import BitMatrix, _parity, _row_image, _span, _transpose_rows
+from .f2linalg import is_invertible, rank
 from .quadform import FormClass, Kind, QuadraticForm, classify, normal_form_witness
 
 
@@ -105,10 +106,8 @@ def is_admissible_bruteforce(q: QuadraticForm) -> tuple[int, ...] | None:
     grows about 3x per added dimension, so it is capped: raises ValueError
     above BRUTEFORCE_DIM_CAP.
 
-    One pass over GF(2)^n tabulates Q(v) and the polar row image P(v), each
-    from w = v ^ e_i, v without its low bit e_i, at one XOR:
-    P(v) = P(w) ^ P(e_i) and Q(v) = Q(w) ^ Q(e_i) ^ B_Q(w, e_i), the last
-    term being bit i of P(w).
+    The polar row images P(v) are the span table of the rows of B_Q, and
+    Q(v) is read as eval_bits reads it, over the span table of ``upper``.
     Partner masks are bit-sliced: coord[b] has bit j set when candidate j
     has coordinate b, so the mask of the candidates that pair with v under
     B_Q is the row image of P(v) over coord, O(n) per candidate for k
@@ -122,18 +121,10 @@ def is_admissible_bruteforce(q: QuadraticForm) -> tuple[int, ...] | None:
         )
     if n == 0:
         return None
-    polar = q.polar().data
+    image = _span(q.polar().data)
     diag = q.diag
-    size = 1 << n
-    value = [0] * size
-    image = [0] * size
-    for v in range(1, size):
-        low = v & -v
-        i = low.bit_length() - 1
-        rest = v ^ low
-        image[v] = image[rest] ^ polar[i]
-        value[v] = value[rest] ^ ((diag ^ image[rest]) >> i & 1)
-    candidates = [v for v in range(1, size) if value[v]]
+    # Q(0) = 0, so 0 is never a candidate.
+    candidates = [v for v, u in enumerate(_span(q.upper)) if _parity((diag ^ u) & v)]
 
     # B_Q(v, v) = 0, so no mask has its own candidate's bit set.
     while True:

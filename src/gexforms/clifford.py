@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .f2linalg import _span
 from .gexgroup import (
     GexGroup,
     GroupClass,
@@ -73,12 +74,11 @@ def g0_form(n_minus_1: int) -> QuadraticForm:
 
 
 def _sign_mask_is_additive(n: int) -> bool:
-    """A(s) = A(s ^ low) ^ A(low) for every subset s of n bits, low its lowest
-    bit: A is linear, so the E(n) law is associative with identity 0."""
+    """A(s) for every subset s of n bits equals the span table of the
+    single-bit masks A(1 << i), at s: A is linear, so the E(n) law is
+    associative with identity 0."""
     masks = [_sign_mask(s) for s in range(1 << n)]
-    return all(
-        masks[s] == masks[s ^ (s & -s)] ^ masks[s & -s] for s in range(1, 1 << n)
-    )
+    return masks == _span([masks[1 << i] for i in range(n)])
 
 
 def _generator_lifts(g: GexGroup) -> list[int]:

@@ -30,6 +30,16 @@ def _row_image(rows, v: int) -> int:
     return acc
 
 
+def _span(rows) -> list[int]:
+    """The span table: _row_image(rows, v) for every v < 2^len(rows), indexed
+    by v.  Built by doubling once per row, the entries for v with bit i set
+    being those below 2^i XORed with rows[i]: one XOR per entry."""
+    table = [0]
+    for r in rows:
+        table += [t ^ r for t in table]
+    return table
+
+
 def _block(w: int) -> tuple[str, int, int, tuple[tuple[int, int], ...]]:
     """(array typecode, w, slot ones, delta swaps) for a w x w bit block.
 
@@ -284,21 +294,17 @@ def symplectic_basis(
 def invertible_matrices(n: int) -> tuple[BitMatrix, ...]:
     """All invertible n x n matrices over GF(2), in lexicographic column order.
 
-    Cached; only sensible for n <= 4 (|GL(4, GF(2))| = 20160).
+    The column prefixes grow level by level, each by the vectors outside the
+    span table of its columns, in increasing order.  Cached; only sensible for
+    n <= 4 (|GL(4, GF(2))| = 20160).
     """
     if n > 4:
         raise ValueError("invertible-matrix enumeration capped at n = 4")
-    results: list[BitMatrix] = []
-
-    def extend(cols: list[int], span: set[int]):
-        if len(cols) == n:
-            results.append(BitMatrix.from_cols(n, cols))
-            return
-        for c in range(1, 1 << n):
-            if c in span:
-                continue
-            new_span = {s ^ c for s in span} | span
-            extend(cols + [c], new_span)
-
-    extend([], {0})
-    return tuple(results)
+    prefixes: list[list[int]] = [[]]
+    for _ in range(n):
+        grown = []
+        for cols in prefixes:
+            span = set(_span(cols))
+            grown += [cols + [c] for c in range(1, 1 << n) if c not in span]
+        prefixes = grown
+    return tuple(BitMatrix.from_cols(n, cols) for cols in prefixes)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
-from .f2linalg import _parity, _row_image, kernel_basis
+from .f2linalg import _parity, _row_image, _span, kernel_basis
 from .quadform import (
     FormClass,
     Kind,
@@ -97,7 +97,8 @@ class Center:
     """{(v, eps) : v in radical(B_Q)}: both central fibers over the radical.
 
     A view: its size is 2^(k+1) for the k vectors of ``radical``, a basis of
-    the radical, and iterating yields the packed elements in sorted order.
+    the radical, and iterating yields the packed elements in sorted order,
+    read off the span table of that basis.
     """
 
     radical: tuple[int, ...]
@@ -106,10 +107,7 @@ class Center:
         return 2 << len(self.radical)
 
     def __iter__(self):
-        span = [0]
-        for r in self.radical:
-            span += [s ^ r for s in span]
-        for v in sorted(span):
+        for v in sorted(_span(self.radical)):
             yield v << 1
             yield (v << 1) | 1
 
@@ -131,8 +129,9 @@ def frattini_order(g: GexGroup) -> int:
 
 
 def q_from_group(g: GexGroup) -> QuadraticForm:
-    """Read the form off the group law alone: Q(e_i) is x * x and
-    B_Q(e_i, e_j) is xy XOR yx, for the lifts x, y of e_i, e_j."""
+    """Read the form off the group law alone, in dim^2 law applications:
+    Q(e_i) is x * x and B_Q(e_i, e_j) is xy XOR yx, for the lifts x, y of
+    e_i, e_j."""
     n = g.dim
     lifts = [1 << (i + 1) for i in range(n)]  # packed (e_i, 0)
     diag = 0

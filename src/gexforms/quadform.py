@@ -25,6 +25,7 @@ from .f2linalg import (
     BitMatrix,
     _parity,
     _row_image,
+    _span,
     _transpose_rows,
     invertible_matrices,
     is_invertible,
@@ -71,11 +72,13 @@ class QuadraticForm:
 
     @cached_property
     def value_table(self) -> tuple[int, ...]:
-        """Q(v) for every v in 0..2^dim-1; raises ValueError above
-        VALUE_TABLE_DIM_CAP, before any entry is built."""
+        """Q(v) for every v in 0..2^dim-1, by eval_bits' formula read over the
+        span table of ``upper``; raises ValueError above VALUE_TABLE_DIM_CAP,
+        before any entry is built."""
         if self.dim > VALUE_TABLE_DIM_CAP:
             raise ValueError(f"value table capped at dimension {VALUE_TABLE_DIM_CAP}")
-        return tuple(self.eval_bits(v) for v in range(1 << self.dim))
+        diag = self.diag
+        return tuple(_parity((diag ^ u) & v) for v, u in enumerate(_span(self.upper)))
 
     def is_zero_form(self) -> bool:
         return self.diag == 0 and not any(self.upper)
@@ -346,18 +349,13 @@ ORACLE_DIM_CAP = 4
 def _gl_actions(n: int) -> tuple[tuple[BitMatrix, itemgetter], ...]:
     """(T, pull) for each T of invertible_matrices(n), in the same order.
 
-    pull(table) is the tuple table[Tv] for v = 0..2^n-1.  Each image table
-    costs one XOR per vector: Tv = T(v without its low bit) ^ column(low bit).
+    pull(table) is the tuple table[Tv] for v = 0..2^n-1, gathered through
+    the span table of the columns of T.
     """
-    actions = []
-    for t in invertible_matrices(n):
-        cols = _transpose_rows(t.data, n)
-        images = [0] * (1 << n)
-        for v in range(1, 1 << n):
-            low = v & -v
-            images[v] = images[v ^ low] ^ cols[low.bit_length() - 1]
-        actions.append((t, itemgetter(*images)))
-    return tuple(actions)
+    return tuple(
+        (t, itemgetter(*_span(_transpose_rows(t.data, n))))
+        for t in invertible_matrices(n)
+    )
 
 
 def isometry_oracle(q: QuadraticForm, q2: QuadraticForm) -> Isometry | None:

@@ -15,7 +15,7 @@ from gexforms.clifford import (
     verify_en_table,
     verify_psi,
 )
-from gexforms.gexgroup import BaseKind, GroupClass, from_form
+from gexforms.gexgroup import BaseKind, GexGroup, GroupClass, from_form
 from gexforms.quadform import classify, FormClass, Kind, QuadraticForm
 
 RNG_SEED = 271828
@@ -136,6 +136,25 @@ def psi_table(n):
     """The cocycle model of the presented group and its psi image table."""
     g = from_form(g0_form(n - 1))
     return g, _psi_images(_generator_lifts(g))
+
+
+def test_generator_lifts_apply_the_law_once_per_entry(monkeypatch):
+    """The _generator_lifts docstring: "one law application per entry", so
+    2^(n-1) - 1 pmul calls for g0_form(n - 1), the empty product being free."""
+    calls = 0
+    pmul = GexGroup.pmul
+
+    def counting_pmul(self, x, y):
+        nonlocal calls
+        calls += 1
+        return pmul(self, x, y)
+
+    monkeypatch.setattr(GexGroup, "pmul", counting_pmul)
+    for n in range(2, 11):
+        g = from_form(g0_form(n - 1))
+        calls = 0
+        _generator_lifts(g)
+        assert calls == (1 << (n - 1)) - 1, n
 
 
 def test_psi_generator_images():

@@ -1,10 +1,14 @@
 import random
+from itertools import product
 
 import pytest
 
 from gexforms.f2linalg import (
     BitMatrix,
+    _row_image,
+    _span,
     _transpose_rows,
+    invertible_matrices,
     is_invertible,
     kernel_basis,
     rank,
@@ -160,6 +164,20 @@ def test_is_invertible():
     assert is_invertible(BitMatrix(2, 2, (0b11, 0b10)))
     with pytest.raises(ValueError):
         is_invertible(BitMatrix(2, 3, (0,) * 2))
+
+
+def test_invertible_matrices_in_lexicographic_column_order():
+    """invertible_matrices(n) is every full-rank column tuple, in the order
+    of itertools.product over the nonzero columns; isometry_oracle returns
+    the first witness in this order."""
+    for n in range(5):
+        candidates = (
+            BitMatrix.from_cols(n, list(cols))
+            for cols in product(range(1, 1 << n), repeat=n)
+        )
+        expected = [m for m in candidates if rank(m) == n]
+        assert list(invertible_matrices(n)) == expected, n
+    assert len(invertible_matrices(4)) == 20160
 
 
 def test_symplectic_zero_form():

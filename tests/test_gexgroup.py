@@ -194,6 +194,26 @@ def test_form_round_trips_through_group(monkeypatch):
         assert q_from_group(from_form(q)) == q
 
 
+def test_q_from_group_makes_dim_squared_law_applications(monkeypatch):
+    """The q_from_group docstring: "dim^2 law applications", one square per
+    lift and two products per pair of lifts."""
+    rng = random.Random(RNG_SEED + 3)
+    calls = 0
+    pmul = GexGroup.pmul
+
+    def counting_pmul(self, x, y):
+        nonlocal calls
+        calls += 1
+        return pmul(self, x, y)
+
+    monkeypatch.setattr(GexGroup, "pmul", counting_pmul)
+    for dim in range(9):
+        g = from_form(random_form(dim, rng))
+        calls = 0
+        assert q_from_group(g) == g.form
+        assert calls == dim * dim, dim
+
+
 def test_serialization_round_trip():
     g = from_form(sum_forms(h_minus(), q_one()))
     spec = g.to_string()

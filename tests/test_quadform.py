@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gexforms import quadform
 from gexforms.f2linalg import (
     BitMatrix,
+    _row_image,
+    _span,
     _transpose_rows,
     invertible_matrices,
     symplectic_basis,
@@ -370,9 +373,24 @@ def _reference_oracle(q, q2):
     return None
 
 
+def test_span_table_and_value_table_match_their_definitions():
+    """_span(rows)[v] is _row_image(rows, v) for every v, k = 0..12 rows, and
+    value_table[v] is eval_bits(v): every form of dim <= 4, seeded forms at
+    dims 5-14."""
+    rng = random.Random(RNG_SEED + 13)
+    assert _span([]) == [0]
+    for k in range(13):
+        rows = [rng.getrandbits(16) for _ in range(k)]
+        assert _span(rows) == [_row_image(rows, v) for v in range(1 << k)], k
+    forms = [q for dim in range(5) for q in all_forms(dim)]
+    forms += [random_form(dim, rng) for dim in range(5, 15) for _ in range(3)]
+    for q in forms:
+        assert q.value_table == tuple(q.eval_bits(v) for v in range(1 << q.dim))
+
+
 def test_value_table_cap_raises_before_building(monkeypatch):
     """At dim VALUE_TABLE_DIM_CAP + 1 the table would hold 2^21 entries; the
-    cap must refuse before Q is evaluated even once."""
+    cap must refuse before Q is evaluated even once or a span table is built."""
     assert VALUE_TABLE_DIM_CAP == 20
     rng = random.Random(RNG_SEED + 12)
     q = random_form(VALUE_TABLE_DIM_CAP + 1, rng)
@@ -380,7 +398,11 @@ def test_value_table_cap_raises_before_building(monkeypatch):
     def no_eval(self, v):
         raise AssertionError("value_table evaluated the form")
 
+    def no_span(rows):
+        raise AssertionError("value_table built the span table")
+
     monkeypatch.setattr(QuadraticForm, "eval_bits", no_eval)
+    monkeypatch.setattr(quadform, "_span", no_span)
     with pytest.raises(ValueError, match="value table capped at dimension 20"):
         q.value_table
 
