@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
-from .f2linalg import _parity, _row_image, _span, kernel_basis
+from .f2linalg import _row_image, _span, kernel_basis
 from .quadform import (
     FormClass,
     Kind,
@@ -79,7 +79,7 @@ class GexGroup:
         return _row_image(self.cocycle, x >> 1) << 1
 
     def pmul(self, x: int, y: int) -> int:
-        return x ^ y ^ _parity(self.cocycle_row(x) & y)
+        return x ^ y ^ ((_row_image(self.cocycle, x >> 1) << 1 & y).bit_count() & 1)
 
     def to_string(self) -> str:
         return "gex:" + self.form.to_string()
@@ -280,7 +280,8 @@ class TableGroup:
 class _Law:
     """The invariants ``iso_oracle`` compares, read through a group's ``pmul``
     alone.  Each is computed on first use, so a pair that the order census
-    rejects never pays for the basis or the center."""
+    rejects never pays for the basis or the center, which is found one coset
+    of its known part at a time."""
 
     def __init__(self, g):
         self.order = g.order
@@ -350,31 +351,46 @@ class _Law:
     @cached_property
     def central(self) -> tuple[bool, ...]:
         """central[x]: x commutes with every basis element, hence with the
-        group they generate."""
+        group they generate.  For z in Z0, the part of the center found so
+        far, x.z is central exactly when x is, so each commutation test
+        decides a coset x.Z0, and a central x doubles Z0.  Cost: one
+        commutation test per coset of the part of the center found so far,
+        plus one law application per flagged element but the identity."""
         pmul, gens = self.pmul, self.basis
-        return tuple(
-            all(pmul(x, g) == pmul(g, x) for g in gens) for x in range(self.order)
-        )
+        flags = {self.identity: True}
+        z0 = [self.identity]
+        for x in range(self.order):
+            if x not in flags:
+                verdict = all(pmul(x, g) == pmul(g, x) for g in gens)
+                coset = [pmul(x, z) for z in z0]
+                flags.update(dict.fromkeys(coset, verdict))
+                if verdict:
+                    z0 += coset
+        return tuple(flags[x] for x in range(self.order))
 
 
-def _try_generator_images(a: _Law, b: _Law, gens, imgs):
-    """Close the partial map sending gens -> imgs over the subgroup the gens
-    generate, setting f(x g) = f(x) f(g') for each element x reached and each
-    g in gens with image g'.  None on a conflict (two values for one f(y)) or
-    a collision (two elements with one image)."""
+def _try_generator_images(a: _Law, b: _Law, gens, imgs, m):
+    """Extend m, the closed map of gens[:-1] -> imgs[:-1], to the map closed
+    over the subgroup all the gens generate, with f(x g) = f(x) f(g') for
+    each element x and each g in gens with image g'.  The elements of m take
+    only the new generator, since m checked their edges by the old ones
+    with the same images; each new element takes every generator.  None on
+    a conflict (two values for one f(y)) or a collision (two elements with
+    one image)."""
     amul, bmul = a.pmul, b.pmul
-    m = {a.identity: b.identity}
-    frontier = [a.identity]
+    m = dict(m)
+    edges = tuple(zip(gens, imgs))
+    frontier = [(x, edges[-1:]) for x in m]
     while frontier:
-        x = frontier.pop()
+        x, out = frontier.pop()
         fx = m[x]
-        for g, h in zip(gens, imgs):
+        for g, h in out:
             xg = amul(x, g)
             fxh = bmul(fx, h)
             prev = m.get(xg)
             if prev is None:
                 m[xg] = fxh
-                frontier.append(xg)
+                frontier.append((xg, edges))
             elif prev != fxh:
                 return None
     if len(set(m.values())) != len(m):
@@ -417,7 +433,7 @@ def _isomorphism(g1, g2) -> dict[int, int] | None:
             if any(b.relation(h, hj) != rel for hj, rel in zip(imgs, rels)):
                 continue
             images = imgs + [h]
-            partial = _try_generator_images(a, b, gens[: depth + 1], images)
+            partial = _try_generator_images(a, b, gens[: depth + 1], images, m)
             if partial is None:
                 continue
             grown = span | {b.pmul(s, h) for s in span}
@@ -447,9 +463,9 @@ def iso_oracle(g1, g2) -> bool:
     - f(g_i g_j) = h_i h_j, so h_i commutes with h_j exactly when g_i
       commutes with g_j, and h_i h_j has the order of g_i g_j.
 
-    Each surviving partial assignment is closed over the subgroup its
-    generators span and dropped on a conflict or a collision.  The last
-    closure is then an isomorphism by the generator lemma, as in
+    Each surviving partial assignment grows the closure of the previous
+    depth by its new generator, and is dropped on a conflict or a collision.
+    The last closure is then an isomorphism by the generator lemma, as in
     ``verify_psi``: it covers all of G1, is injective, fixes the identity and
     has f(x g_i) = f(x) h_i for every x and every i, so induction on word
     length gives f(xy) = f(x) f(y).  The induction needs both laws to be

@@ -352,6 +352,8 @@ def _gl_actions(n: int) -> tuple[tuple[BitMatrix, itemgetter], ...]:
     pull(table) is the tuple table[Tv] for v = 0..2^n-1, gathered through
     the span table of the columns of T.
     """
+    if n == 0:  # one itemgetter index returns the entry; a slice keeps a tuple
+        return tuple((t, itemgetter(slice(1))) for t in invertible_matrices(0))
     return tuple(
         (t, itemgetter(*_span(_transpose_rows(t.data, n))))
         for t in invertible_matrices(n)

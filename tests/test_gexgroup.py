@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gexforms import gexgroup, verify
-from gexforms.f2linalg import kernel_basis
+from gexforms.f2linalg import _parity, kernel_basis
 from gexforms.gexgroup import (
     FROM_FORM_DIM_CAP,
     BaseKind,
@@ -214,6 +214,51 @@ def test_q_from_group_makes_dim_squared_law_applications(monkeypatch):
         assert calls == dim * dim, dim
 
 
+def test_central_makes_the_law_applications_of_its_docstring(monkeypatch):
+    """The _Law.central docstring: "one commutation test per coset of the
+    part of the center found so far, plus one law application per flagged
+    element".  On an abelian group of order 64 every test passes, so Z0
+    doubles six times: Z2^6 makes 6 tests of 2 x 6 applications and
+    Z4 x Z2^4 (basis of 5 modulo Phi) 6 tests of 2 x 5, plus 63 flags each.
+    On H+^2 (order 32, center 2) each non-central coset stops at its first
+    generator that does not commute."""
+    calls = 0
+    pmul = GexGroup.pmul
+
+    def counting_pmul(self, x, y):
+        nonlocal calls
+        calls += 1
+        return pmul(self, x, y)
+
+    monkeypatch.setattr(GexGroup, "pmul", counting_pmul)
+    cases = [
+        (direct_sum(q_one(), zero_form(4)), 123),
+        (zero_form(5), 135),
+        (direct_sum(h_plus(), h_plus()), 91),
+    ]
+    for q, expected in cases:
+        law = _Law(from_form(q))
+        law.basis  # built first: its law applications are not central's
+        calls = 0
+        assert sum(law.central) == len(center(from_form(q)))
+        assert calls == expected, q
+
+
+def test_pmul_is_the_cocycle_row_law():
+    """pmul(x, y) == x ^ y ^ parity(cocycle_row(x) & y): the inlined law and
+    cocycle_row, which verify and clifford read, stay one law; every model
+    of dim <= 3 and seeded models of dim 5, over all pairs."""
+    rng = random.Random(RNG_SEED + 8)
+    forms = [q for dim in range(4) for q in all_forms(dim)]
+    forms += [random_form(5, rng) for _ in range(12)]
+    for q in forms:
+        g = from_form(q)
+        for x in range(g.order):
+            row = g.cocycle_row(x)
+            for y in range(g.order):
+                assert g.pmul(x, y) == x ^ y ^ _parity(row & y), (q, x, y)
+
+
 def test_serialization_round_trip():
     g = from_form(sum_forms(h_minus(), q_one()))
     spec = g.to_string()
@@ -289,11 +334,15 @@ def test_closure_rejects_conflicts_and_collisions():
     i, j = 2, 4
     assert z4z2.relation(a, ac) == (True, 2)
     assert q8.relation(i, j) == (False, 4)
+    # The map is extended one generator at a time: first a -> i, then ac.
+    to_q8 = _try_generator_images(z4z2, q8, (a,), (i,), {0: 0})
+    assert len(to_q8) == 4
     # Squares and orders match, but a * ac = ac * a while ij = k != -k = ji.
-    assert _try_generator_images(z4z2, q8, (a, ac), (i, j)) is None
+    assert _try_generator_images(z4z2, q8, (a, ac), (i, j), to_q8) is None
     # Both to i is a homomorphism with kernel <c>: no conflict, a collision.
-    assert _try_generator_images(z4z2, q8, (a, ac), (i, i)) is None
-    assert len(_try_generator_images(z4z2, z4z2, (a, ac), (a, ac))) == 8
+    assert _try_generator_images(z4z2, q8, (a, ac), (i, i), to_q8) is None
+    to_self = _try_generator_images(z4z2, z4z2, (a,), (a,), {0: 0})
+    assert len(_try_generator_images(z4z2, z4z2, (a, ac), (a, ac), to_self)) == 8
 
 
 def test_q8q8_is_d8d8_but_q8_is_not_d8():
@@ -317,13 +366,27 @@ def test_iso_oracle_order_cap():
 def test_table_frattini_matches_form_level_order():
     """|Phi| read through the law, as the subgroup the squares generate, is
     the form-level frattini_order; the greedy basis modulo Phi has
-    log2(order / |Phi|) generators and its closure is the whole group; the
-    elements that commute with the basis are the center."""
+    log2(order / |Phi|) generators and its closure, grown one generator at
+    a time, is the whole group; the elements that commute with the basis,
+    found one coset at a time, are the center.  Every form of dim <= 4, and
+    seeded hidden bases of every class at dim 5 (order 64, Z2^6 and
+    Z4 x Z2^4 among them) against the brute-force center."""
     groups = [
         (g, frattini_order(g), set(center(g)))
         for dim in range(5)
         for g in map(from_form, all_forms(dim))
     ]
+    rng = random.Random(RNG_SEED + 7)
+    for fc in _form_classes(5):
+        for _ in range(3):
+            g = _hidden_model(fc, rng)
+            elements = range(g.order)
+            brute = {
+                x
+                for x in elements
+                if all(g.pmul(x, y) == g.pmul(y, x) for y in elements)
+            }
+            groups.append((g, frattini_order(g), brute))
     for t in (Q8_TABLE, D8_TABLE, Z4_TABLE):
         brute = {x for x, row in enumerate(t) if row == tuple(r[x] for r in t)}
         groups.append((TableGroup(t), 2, brute))
@@ -331,7 +394,10 @@ def test_table_frattini_matches_form_level_order():
         law = _Law(g)
         assert len(law.frattini) == phi_order
         assert 1 << len(law.basis) == g.order // phi_order
-        span = _try_generator_images(law, law, law.basis, law.basis)
+        span = {law.identity: law.identity}
+        for k in range(1, len(law.basis) + 1):
+            gens = law.basis[:k]
+            span = _try_generator_images(law, law, gens, gens, span)
         assert len(span) == g.order
         assert {x for x in range(g.order) if law.central[x]} == center_set
     # The basis generates only in a 2-group, so other orders are refused,

@@ -430,6 +430,18 @@ def test_oracle_matches_matvec_loop():
         assert witness(q, q2) == _reference_oracle(q, q2)
 
 
+def test_gl_actions_pull_a_tuple_per_vector():
+    """The _gl_actions docstring: pull(table) is the tuple table[Tv] for
+    v = 0..2^n-1, a 1-tuple at n = 0 as well, where one itemgetter index
+    would return the bare entry."""
+    for n in range(3):
+        table = tuple(range(10, 10 + (1 << n)))
+        for t, pull in quadform._gl_actions(n):
+            got = pull(table)
+            assert isinstance(got, tuple) and len(got) == 1 << n, (n, got)
+            assert got == tuple(table[t.matvec_bits(v)] for v in range(1 << n))
+
+
 def test_describe_strings():
     assert classify(h_minus()).describe() == "H-"
     assert classify(direct_sum(h_plus(), h_plus())).describe() == "H+^2"
