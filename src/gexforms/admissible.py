@@ -43,38 +43,22 @@ def is_admissible(q: QuadraticForm) -> bool:
     return fc.kind is Kind.MINUS or fc.m1 >= 2
 
 
-def _minus_case_basis(m: int, m2: int) -> list[int]:
-    """Basis for H- (+) H+^(m-1) (+) 0^m2 in normal-form coordinates."""
-    vs = [(1 << (2 * i)) | (1 << (2 * i + 1)) for i in range(m)]
-    vs.append(1)
-    vs.extend(1 | (1 << (2 * k)) for k in range(1, m))
-    vs.extend(vs[0] | (1 << (2 * m + j)) for j in range(m2))
-    return vs
-
-
-def _plus_case_basis(m: int) -> list[int]:
-    """Basis for H+^m (m >= 2) in normal-form coordinates."""
-    vs = [(1 << (2 * i)) | (1 << (2 * i + 1)) for i in range(m)]
-    vs.append(1 | (1 << (2 * m - 2)) | (1 << (2 * m - 1)))
-    vs.extend(
-        (1 << (2 * k - 2)) | (1 << (2 * k - 1)) | (1 << (2 * k + 1))
-        for k in range(1, m)
-    )
-    return vs
-
-
 def _standard_basis(fc: FormClass) -> list[int]:
-    """The admissible basis of standard_form(fc), for an admissible class."""
-    m, m2 = fc.m1, fc.m2
+    """The admissible basis of standard_form(fc), for an admissible class: the
+    plane sums e_2i + e_2i+1, a B_Q-partner for each, e_0 + e_2m for QOne, then
+    e_0 + e_1 + e_z for each zero coordinate z."""
+    m = fc.m1
+    vs = [3 << (2 * i) for i in range(m)]
     if fc.kind is Kind.MINUS:
-        return _minus_case_basis(m, m2)
-    std = _plus_case_basis(m)
-    if fc.kind is Kind.PLUS:
-        std.extend(std[0] | (1 << (2 * m + j)) for j in range(m2))
-    else:  # QOne, m >= 2
-        std.append(1 | (1 << (2 * m)))
-        std.extend(std[0] | (1 << (2 * m + 1 + j)) for j in range(m2 - 1))
-    return std
+        vs += [1] + [1 | (1 << (2 * k)) for k in range(1, m)]
+    else:
+        vs.append(1 | (3 << (2 * m - 2)))
+        vs += [(3 << (2 * k - 2)) | (1 << (2 * k + 1)) for k in range(1, m)]
+    if fc.kind is Kind.QONE:
+        vs.append(1 | (1 << (2 * m)))
+    # One vector per coordinate so far: the zero coordinates start at len(vs).
+    vs += [vs[0] | (1 << z) for z in range(len(vs), fc.dim)]
+    return vs
 
 
 def admissible_witness(q: QuadraticForm) -> tuple[int, ...] | None:

@@ -204,8 +204,10 @@ def en_computed_class(n: int) -> GroupClass:
 
 
 def verify_en_table(n_max: int) -> list[EnTableRow]:
-    if n_max > MAX_N:
-        raise ValueError(f"table verification capped at n = {MAX_N}")
+    """The rows n = 2..n_max of the E(n) x Z2 table; raises ValueError unless
+    2 <= n_max <= MAX_N."""
+    if not 2 <= n_max <= MAX_N:
+        raise ValueError(f"E(n) table needs 2 <= n <= {MAX_N}, got n = {n_max}")
     rows = []
     for n in range(2, n_max + 1):
         rows.append(

@@ -192,12 +192,8 @@ def kernel_basis(m: BitMatrix) -> list[int]:
     reduced = [0] * m.cols  # the reduced row whose pivot is column c
     pivot_mask = 0
     for c, p in reversed(_echelon(m)):
-        t = p & pivot_mask  # later pivot columns: their rows are reduced
-        while t:
-            low = t & -t
-            p ^= reduced[low.bit_length() - 1]
-            t ^= low
-        reduced[c] = p
+        # p's bits at later pivot columns select rows already reduced
+        reduced[c] = p ^ _row_image(reduced, p & pivot_mask)
         pivot_mask |= 1 << c
     cols = _transpose_rows(reduced, m.cols)
     return [cols[c] | 1 << c for c in range(m.cols) if not pivot_mask >> c & 1]

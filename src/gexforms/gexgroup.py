@@ -155,8 +155,6 @@ def central_product(g1: GexGroup, g2: GexGroup) -> GexGroup:
 
 
 def direct_z2(g: GexGroup, n: int) -> GexGroup:
-    if g.dim + n > FROM_FORM_DIM_CAP:
-        raise ValueError(f"group dimension capped at {FROM_FORM_DIM_CAP}")
     return GexGroup(direct_sum(g.form, zero_form(n)))
 
 

@@ -107,43 +107,35 @@ class QuadraticForm:
         return f"l={self.dim};d={d};u={u}"
 
 
+# The dim is canonical decimal: int() alone would also take signs, spaces,
+# leading zeros and non-ASCII digits.
+_FORM_SPEC = re.compile(r"l=(0|[1-9][0-9]*);d=([01]*);u=([01]*)")
+
+
 def parse_form(spec: str) -> QuadraticForm:
     """Parse the `l=<dim>;d=<bits>;u=<bits>` serialization; rejects bad counts.
 
     Only the canonical spelling is accepted, so parse_form(s).to_string() == s
     for every accepted s.
     """
-    parts = spec.split(";")
-    if len(parts) != 3:
-        raise ValueError("form spec must have three ;-separated fields l, d, u")
-    fields = {}
-    for part, key in zip(parts, ("l", "d", "u")):
-        if not part.startswith(key + "="):
-            raise ValueError(f"expected field {key}= in {part!r}")
-        fields[key] = part[2:]
-    # int() would also take signs, spaces, leading zeros and non-ASCII digits.
-    if not re.fullmatch(r"0|[1-9][0-9]*", fields["l"]):
-        raise ValueError(f"invalid dimension {fields['l']!r}")
-    dim = int(fields["l"])
-    if not 0 <= dim <= MAX_DIM:
+    match = _FORM_SPEC.fullmatch(spec)
+    if match is None:
+        raise ValueError(f"form spec must read l=<dim>;d=<bits>;u=<bits>, got {spec!r}")
+    digits, d, u = match.groups()
+    dim = int(digits)
+    if dim > MAX_DIM:
         raise ValueError(f"dimension {dim} out of range [0, {MAX_DIM}]")
-    d = fields["d"]
     if len(d) != dim:
         raise ValueError(f"field d needs {dim} bits, got {len(d)}")
-    u = fields["u"]
     if len(u) != dim * (dim - 1) // 2:
         raise ValueError(f"field u needs {dim * (dim - 1) // 2} bits, got {len(u)}")
-    if set(d + u) - {"0", "1"}:
-        raise ValueError("fields d and u must be binary strings")
     diag = sum(1 << i for i, ch in enumerate(d) if ch == "1")
-    upper = [0] * dim
-    k = 0
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            if u[k] == "1":
-                upper[i] |= 1 << j
-            k += 1
-    return QuadraticForm(dim, diag, tuple(upper))
+    bits = iter(u)
+    upper = tuple(
+        sum(1 << j for j in range(i + 1, dim) if next(bits) == "1")
+        for i in range(dim)
+    )
+    return QuadraticForm(dim, diag, upper)
 
 
 # -- standard constructors ----------------------------------------------------
@@ -376,8 +368,6 @@ def isometry_oracle(q: QuadraticForm, q2: QuadraticForm) -> Isometry | None:
     n = q.dim
     if n > ORACLE_DIM_CAP:
         raise ValueError(f"oracle capped at dimension {ORACLE_DIM_CAP}")
-    if n == 0:
-        return Isometry(BitMatrix.identity(0))
     t1 = q.value_table
     t2 = q2.value_table
     if sum(t1) != sum(t2):

@@ -68,10 +68,37 @@ def test_classify_mixed_form(capsys):
 
 
 def test_classify_bad_form(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["classify", "l=2;d=0;u=0"])
-    assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    code, _, err = run(capsys, "classify", "l=2;d=0;u=0")
+    assert code == 2
+    assert "error:" in err
+
+
+Q1_ZERO14 = "l=15;d=1" + "0" * 14 + ";u=" + "0" * 105
+
+
+@pytest.mark.parametrize(
+    "seed, argv",
+    [
+        (None, ["classify", "l=2;d=00;u=0;"]),
+        (None, ["admissible", "l=7;d=" + "0" * 7 + ";u=" + "0" * 21, "--oracle"]),
+        (None, ["group", "l=17;d=" + "0" * 17 + ";u=" + "0" * 136]),
+        (None, ["central-product", H_MINUS, ZERO2]),
+        (None, ["central-product", H_MINUS, Q1_ZERO14]),
+        (None, ["en", "0"]),
+        (None, ["en", "1"]),
+        (None, ["en", "18"]),
+        ("x12", ["verify-paper"]),
+    ],
+)
+def test_every_rejection_is_one_error_line(capsys, monkeypatch, seed, argv):
+    """Each input the library rejects exits 2 with nothing on stdout and a
+    single error line on stderr, whichever command it reaches."""
+    monkeypatch.setattr(verify, "run_suite", lambda: pytest.fail("suite ran"))
+    if seed is not None:
+        monkeypatch.setenv(verify.SEED_ENV_VAR, seed)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_admissible_verdicts(capsys):

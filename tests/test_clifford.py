@@ -336,5 +336,6 @@ def test_table_rows_and_format():
     assert line == "n=2 residue=2 computed=Z4 x Z2 expected=Z4 x Z2 PASS"
     bad = EnTableRow(3, 3, en_expected_class(4), en_expected_class(3))
     assert bad.format().endswith("FAIL")
-    with pytest.raises(ValueError):
-        verify_en_table(18)
+    for n_max in (0, 1, 18):
+        with pytest.raises(ValueError, match="2 <= n <= 17"):
+            verify_en_table(n_max)

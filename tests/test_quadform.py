@@ -121,6 +121,11 @@ def test_parse_form_known_string():
         "l=02;d=00;u=0",
         "l= 2;d=00;u=0",
         "l=2;d=00;u=0\n",
+        "l=2;d=00;u=0;",
+        "l=2;d=00;u=2",
+        "l=2;d=00;u=00",
+        "L=2;d=00;u=0",
+        "l=65;d=" + "0" * 65 + ";u=" + "0" * (65 * 64 // 2),
     ],
 )
 def test_parse_form_rejects(bad):
