@@ -78,7 +78,7 @@ def cmd_central_product(args) -> int:
 
 
 def cmd_en(args) -> int:
-    row = clifford.verify_en_table(args.n)[-1]
+    row = clifford.verify_en_table(clifford.parse_n(args.n))[-1]
     print(row.format())
     return 0 if row.ok else 1
 
@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_central_product)
 
     p = sub.add_parser("en", help="one row of the E(n) x Z2 decomposition table")
-    p.add_argument("n", type=int, help=f"2 <= n <= {clifford.MAX_N}")
+    p.add_argument("n", help=f"2 <= n <= {clifford.MAX_N}")
     p.set_defaults(fn=cmd_en)
 
     p = sub.add_parser(

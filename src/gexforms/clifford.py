@@ -42,7 +42,7 @@ from .gexgroup import (
     from_form,
     group_class_of_form_class,
 )
-from .quadform import QuadraticForm, classify, direct_sum, zero_form
+from .quadform import _DECIMAL, QuadraticForm, classify, direct_sum, zero_form
 
 MAX_N = 17
 
@@ -201,6 +201,13 @@ def en_computed_class(n: int) -> GroupClass:
     """
     q = direct_sum(g0_form(n - 1), zero_form(1))
     return group_class_of_form_class(classify(q))
+
+
+def parse_n(text: str) -> int:
+    """n in canonical decimal, as parse_form reads l=; else ValueError."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"n must be a decimal integer ({_DECIMAL.pattern}), got {text!r}")
+    return int(text)
 
 
 def verify_en_table(n_max: int) -> list[EnTableRow]:

@@ -205,21 +205,22 @@ def is_invertible(m: BitMatrix) -> bool:
     return rank(m) == m.rows
 
 
-def symplectic_basis(
-    b: BitMatrix, diag: int = 0
-) -> tuple[list[tuple[int, int]], list[int], int]:
-    """Decompose an alternating bilinear form into hyperbolic pairs plus radical.
+def symplectic_basis(q) -> tuple[list[tuple[int, int]], list[int], int]:
+    """Decompose the polar form B_Q of a quadratic form q into hyperbolic
+    pairs plus radical.
 
-    Returns (pairs, radical, values) as packed vectors of dimension b.rows,
+    q is a quadform.QuadraticForm, duck-typed (quadform imports this module):
+    B_Q's rows come from q.polar() and Q(e_i) from bit i of q.diag.  The
+    form's constructor holds the input contract, so B_Q is alternating and
+    nothing is checked here.  Any alternating B is B_Q of
+    QuadraticForm(n, 0, strict upper part of B).
+
+    Returns (pairs, radical, values) as packed vectors of dimension q.dim,
     where each pair (a_i, b_i) satisfies B(a_i, b_i) = 1, B vanishes across
     distinct pairs and on/against the radical, and the pairs together with
     the radical form a basis.  Deterministic: always grabs the lowest-index
-    available vector.
-
-    ``diag`` holds Q(e_i) at bit i for a quadratic form Q whose polar form is
-    B.  ``values`` packs Q on the output vectors: bit j is Q of the j-th
-    vector of a_1, b_1, ..., a_m, b_m, r_1, r_2, ....  With the default
-    diag = 0 it describes the form whose values on the standard basis vanish.
+    available vector.  ``values`` packs Q on the output vectors: bit j is Q
+    of the j-th vector of a_1, b_1, ..., a_m, b_m, r_1, r_2, ....
 
     Index-mask decomposition: working vector u_i starts as e_i and keeps its
     start index i; ``alive`` is the mask of the indices still working.  Each
@@ -228,27 +229,17 @@ def symplectic_basis(
     u_i).  The partner of v is the lowest bit of its image & alive, and the
     vectors to update are whole masks, so no test needs a popcount.  Q on the
     working vectors is one mask, carried by Q(u + v) = Q(u) + Q(v) + B(u, v).
-    Validating the input costs one transpose and O(n) word operations; the
-    decomposition costs one XOR per updated vector, O(n^2) in all.
+    Costs one transpose, the one in ``polar``, and one XOR per updated
+    vector, O(n^2) in all.
     """
-    n = b.rows
-    if b.rows != b.cols:
-        raise ValueError("alternating form must be square")
-    if diag >> n:
-        raise ValueError("diag bits set beyond dimension")
-    rows = b.data
-    cols = _transpose_rows(rows, n)
-    for i in range(n):
-        if (rows[i] >> i) & 1:
-            raise ValueError("form has nonzero diagonal (not alternating)")
-        if (rows[i] ^ cols[i]) >> (i + 1):
-            raise ValueError("form is not symmetric")
+    n = q.dim
+    rows = q.polar().data
 
     # work[i] packs B u_i in its low n bits and u_i above them, so a single
     # XOR updates both; qm holds Q(u_i) at bit i.
     work = [r | (1 << (n + i)) for i, r in enumerate(rows)]
     alive = (1 << n) - 1
-    qm = diag
+    qm = q.diag
     pairs: list[tuple[int, int]] = []
     radical: list[int] = []
     pair_q = radical_q = 0

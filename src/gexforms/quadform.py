@@ -89,7 +89,8 @@ class QuadraticForm:
         """The associated alternating bilinear form B_Q as a symmetric matrix.
 
         B_Q = U + U^T for the strictly upper-triangular U = ``upper``; the
-        transpose is log2(w) delta swaps on one packed w x w block, w <= 64.
+        transpose, the only one of a symplectic decomposition, is log2(w)
+        delta swaps on one packed w x w block, w <= 64.
         """
         n = self.dim
         lower = _transpose_rows(self.upper, n)
@@ -107,9 +108,10 @@ class QuadraticForm:
         return f"l={self.dim};d={d};u={u}"
 
 
-# The dim is canonical decimal: int() alone would also take signs, spaces,
-# leading zeros and non-ASCII digits.
-_FORM_SPEC = re.compile(r"l=(0|[1-9][0-9]*);d=([01]*);u=([01]*)")
+# Canonical decimal, the one spelling of a number the library reads: int()
+# alone would also take signs, spaces, leading zeros and non-ASCII digits.
+_DECIMAL = re.compile("0|[1-9][0-9]*")
+_FORM_SPEC = re.compile(rf"l=({_DECIMAL.pattern});d=([01]*);u=([01]*)")
 
 
 def parse_form(spec: str) -> QuadraticForm:
@@ -250,8 +252,8 @@ def _normal_basis(q: QuadraticForm) -> tuple[FormClass, list[int]]:
 
     The one place that knows the standard layout: H- first, then the H+
     blocks, then Q1, then zeros.  One ``symplectic_basis`` call gives the
-    pairs, the radical and Q on each of them, so no Q is evaluated: O(n^2)
-    word operations at dim n.
+    pairs, the radical and Q on each of them, so no Q is evaluated: one
+    transpose (in ``polar``) and O(n^2) word operations at dim n.
     - A pair (a, b) with Q(a) = Q(b) = 1 spans an H- plane and is kept; every
       other pair is rewritten to an H+ pair (a', b'), Q(a') = Q(b') = 0.
     - Two H- planes (a1, b1), (a2, b2) span H+ (+) H+, with the pairs
@@ -264,8 +266,7 @@ def _normal_basis(q: QuadraticForm) -> tuple[FormClass, list[int]]:
       vector with Q(r1) = 1, r1 is added to the other such vectors and to
       the leftover H- plane, which becomes an H+ plane.
     """
-    n = q.dim
-    pairs, radical, values = symplectic_basis(q.polar(), q.diag)
+    pairs, radical, values = symplectic_basis(q)
     minus: list[int] = []  # columns, two per plane
     plus: list[int] = []
     for a, b in pairs:
@@ -294,7 +295,7 @@ def _normal_basis(q: QuadraticForm) -> tuple[FormClass, list[int]]:
         ]
         kind = Kind.QONE
     m1 = len(pairs)
-    return FormClass(n, m1, kind, n - 2 * m1), lead + plus + radical
+    return FormClass(q.dim, m1, kind, q.dim - 2 * m1), lead + plus + radical
 
 
 def classify(q: QuadraticForm) -> FormClass:

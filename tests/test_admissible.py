@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gexforms import admissible, f2linalg, quadform
 from gexforms.f2linalg import _row_image
 from gexforms.admissible import (
     BRUTEFORCE_DIM_CAP,
@@ -191,6 +192,49 @@ def _theorem_admissible(fc):
     if fc.kind is Kind.MINUS:
         return True
     return fc.kind in (Kind.PLUS, Kind.QONE) and fc.m1 >= 2
+
+
+def test_user_path_makes_the_decompositions_and_transposes_of_its_docstrings(
+    monkeypatch,
+):
+    """The cost lines of the symplectic_basis, QuadraticForm.polar and
+    _normal_basis docstrings ("one transpose, the one in polar"), with one
+    transpose in each BitMatrix.from_cols and one in admissible_witness: an
+    admissible form through classify, normal_form_witness, is_admissible and
+    admissible_witness makes 6 decompositions (one per classify, two per
+    admissible_witness) and 9 transposes (6 in polar, 2 in from_cols and 1
+    in admissible_witness).  Each module imports the two helpers by name, so
+    each binding is counted."""
+    rng = random.Random(RNG_SEED + 9)
+    forms = [
+        change_basis(standard_form(fc), random_invertible(fc.dim, rng))
+        for fc in (
+            FormClass(12, 3, Kind.PLUS, 6),
+            FormClass(12, 3, Kind.MINUS, 6),
+            FormClass(64, 31, Kind.QONE, 2),
+        )
+    ]
+    counts = {}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("symplectic_basis", "_transpose_rows"):
+        wrapped = counting(name, getattr(f2linalg, name))
+        for module in (f2linalg, quadform, admissible):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    for q in forms:
+        counts.update(symplectic_basis=0, _transpose_rows=0)
+        classify(q)
+        normal_form_witness(q)
+        assert is_admissible(q)
+        admissible_witness(q)
+        assert counts == {"symplectic_basis": 6, "_transpose_rows": 9}, q.to_string()
 
 
 def test_every_class_behind_a_hidden_basis():

@@ -88,6 +88,9 @@ Q1_ZERO14 = "l=15;d=1" + "0" * 14 + ";u=" + "0" * 105
         (None, ["en", "1"]),
         (None, ["en", "18"]),
         ("x12", ["verify-paper"]),
+        (None, ["en", " +٣ "]),
+        (None, ["en", "03"]),
+        (None, ["en", "x"]),
     ],
 )
 def test_every_rejection_is_one_error_line(capsys, monkeypatch, seed, argv):

@@ -136,6 +136,12 @@ def test_parse_form_rejects(bad):
 def test_form_validation():
     with pytest.raises(ValueError):
         QuadraticForm(2, 0b100, (0, 0))  # diag bit beyond dim
+    for dim in (2, 64):
+        for diag in (1 << 64, -1):
+            with pytest.raises(ValueError, match="diag bits set beyond dimension"):
+                QuadraticForm(dim, diag, (0,) * dim)
+    with pytest.raises(ValueError, match="upper row 0"):
+        QuadraticForm(2, 0, (-2, 0))  # a negative row has bits beyond dim
     with pytest.raises(ValueError):
         QuadraticForm(2, 0, (0b01, 0))  # upper bit at or below diagonal
     with pytest.raises(ValueError):
@@ -214,7 +220,7 @@ def _kind_by_arf_sum(q):
     else Minus iff the sum of Q(a)Q(b) over the symplectic pairs is 1."""
     if q.is_zero_form():
         return Kind.ZERO
-    pairs, radical, _ = symplectic_basis(q.polar())
+    pairs, radical, _ = symplectic_basis(q)
     if any(q.eval_bits(r) for r in radical):
         return Kind.QONE
     arf = 0
@@ -305,7 +311,7 @@ def test_normal_form_witness_exact_per_branch(
     spec, n_minus, n_radical_q, describe, rows
 ):
     q = parse_form(spec)
-    pairs, _, values = symplectic_basis(q.polar(), q.diag)
+    pairs, _, values = symplectic_basis(q)
     minus = sum(values >> (2 * i) & 3 == 3 for i in range(len(pairs)))
     assert (minus, (values >> (2 * len(pairs))).bit_count()) == (n_minus, n_radical_q)
     fc = classify(q)
