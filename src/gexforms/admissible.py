@@ -3,14 +3,13 @@
 A form is admissible when it has a basis of vectors that all take value 1 and
 none of which is B_Q-isolated within the basis.  The fast path reads the
 verdict off the classification; the constructive path builds an explicit
-basis; the brute-force path searches every candidate basis and serves as the
-independent oracle.
+basis; the definition-level path walks GF(2)^n greedily for a basis and
+serves as the independent oracle.
 """
 
 from __future__ import annotations
 
-from .f2linalg import BitMatrix, _parity, _row_image, _span, _transpose_rows
-from .f2linalg import is_invertible, rank
+from .f2linalg import BitMatrix, _row_image, _transpose_rows, is_invertible
 from .quadform import FormClass, Kind, QuadraticForm, classify, normal_form_witness
 
 
@@ -77,96 +76,41 @@ def admissible_witness(q: QuadraticForm) -> tuple[int, ...] | None:
     return tuple(_row_image(cols, w) for w in std)
 
 
-BRUTEFORCE_DIM_CAP = 6
-
-
 def is_admissible_bruteforce(q: QuadraticForm) -> tuple[int, ...] | None:
-    """Backtracking search for an admissible basis straight from the definition.
+    """An admissible basis straight from the definition, as packed vectors, or
+    None.  Calls neither classify nor symplectic_basis.
 
-    Candidates are the vectors with Q = 1; the search walks increasing vector
-    values while maintaining linear independence, and prunes a branch as soon
-    as some chosen vector can no longer find a B_Q-partner.  Returns the
-    lexicographically first basis as packed vectors, or None.  The search
-    grows about 3x per added dimension, so it is capped: raises ValueError
-    above BRUTEFORCE_DIM_CAP.
+    Lemma: let S be a basis of GF(2)^n and v in S with B_Q(v, .) != 0.  Since
+    S spans, B_Q(v, s) = 1 for some s in S, and s != v as B_Q(v, v) = 0.  So
+    q is admissible exactly when the vectors with Q(v) = 1 and P(v) != 0
+    (P(v) the polar row image) span GF(2)^n, and then every basis drawn from
+    them is admissible.  The walk is the greedy algorithm of that linear
+    matroid: it takes v in increasing order and keeps each such v that is
+    independent of those kept so far, until it has n.  Q is read from
+    ``value_table``, so this raises ValueError above VALUE_TABLE_DIM_CAP.
 
-    The polar row images P(v) are the span table of the rows of B_Q, and
-    Q(v) is read as eval_bits reads it, over the span table of ``upper``.
-    Partner masks are bit-sliced: coord[b] has bit j set when candidate j
-    has coordinate b, so the mask of the candidates that pair with v under
-    B_Q is the row image of P(v) over coord, O(n) per candidate for k
-    candidates instead of O(k).  Candidates without a partner are dropped
-    until none is; the search reads the masks of that last round.
+    The basis is the lexicographically first admissible one, which a
+    backtracking search over the candidates in increasing order would find:
+    once the candidates span, each has a partner among them, so dropping the
+    candidates without one drops none, and a sound pruning never cuts the
+    greedy path, whose leaf is an admissible basis.
     """
     n = q.dim
-    if n > BRUTEFORCE_DIM_CAP:
-        raise ValueError(
-            f"admissibility oracle capped at dimension {BRUTEFORCE_DIM_CAP}"
-        )
-    if n == 0:
-        return None
-    image = _span(q.polar().data)
-    diag = q.diag
-    # Q(0) = 0, so 0 is never a candidate.
-    candidates = [v for v, u in enumerate(_span(q.upper)) if _parity((diag ^ u) & v)]
-
-    # B_Q(v, v) = 0, so no mask has its own candidate's bit set.
-    while True:
-        coord = _transpose_rows(candidates, n)
-        partner_masks = [_row_image(coord, image[v]) for v in candidates]
-        kept = [v for v, pm in zip(candidates, partner_masks) if pm]
-        if len(kept) == len(candidates):
-            break
-        candidates = kept
-    if len(candidates) < n:
-        return None
-
-    # Candidates must span the whole space; at most 2^6 - 1 rows under the cap.
-    if rank(BitMatrix(len(candidates), n, tuple(candidates))) < n:
-        return None
-
-    k = len(candidates)
-    full_tail = [(1 << k) - (1 << i) for i in range(k + 1)]  # indices >= i
-
-    chosen: list[int] = []
-    echelon: list[int] = []  # reduced vectors, one pivot each
-
-    def reduce(v: int) -> int:
-        for e in echelon:
-            if (v >> (e.bit_length() - 1)) & 1:
-                v ^= e
-        return v
-
-    def search(start: int, chosen_mask: int, unpartnered: int) -> bool:
-        depth = len(chosen)
-        if depth == n:
-            return unpartnered == 0
-        if k - start < n - depth:
-            return False
-        remaining = full_tail[start]
-        # every unpartnered chosen vector needs a partner still ahead
-        um = unpartnered
-        while um:
-            i = (um & -um).bit_length() - 1
-            um &= um - 1
-            if not partner_masks[i] & remaining:
-                return False
-        for idx in range(start, k):
-            v = candidates[idx]
-            red = reduce(v)
-            if red == 0:
-                continue
-            new_unpartnered = unpartnered & ~partner_masks[idx]
-            if not partner_masks[idx] & chosen_mask:
-                new_unpartnered |= 1 << idx
-            chosen.append(idx)
-            echelon.append(red)
-            if search(idx + 1, chosen_mask | (1 << idx), new_unpartnered):
-                return True
-            chosen.pop()
-            echelon.pop()
-        return False
-
-    if search(0, 0, 0):
-        return tuple(candidates[i] for i in chosen)
+    values = q.value_table
+    polar = q.polar().data
+    basis: list[int] = []
+    echelon: list[tuple[int, int]] = []  # (pivot bit, reduced vector) pairs
+    for v in range(1, 1 << n):
+        if not values[v]:
+            continue
+        red = v
+        for pivot, e in echelon:
+            if red & pivot:
+                red ^= e
+        # P(v) last: it is computed only for the independent candidates.
+        if red and _row_image(polar, v):
+            basis.append(v)
+            if len(basis) == n:
+                return tuple(basis)
+            echelon.append((1 << (red.bit_length() - 1), red))
     return None

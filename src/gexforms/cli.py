@@ -18,9 +18,10 @@ from .f2linalg import BitMatrix
 
 CAPS_NOTE = (
     f"caps: isometry oracle dim <= {quadform.ORACLE_DIM_CAP} (exhaustive GL "
-    f"search), admissibility oracle dim <= {adm.BRUTEFORCE_DIM_CAP}, group models "
-    f"dim <= {gexgroup.FROM_FORM_DIM_CAP}, group isomorphism oracle order <= "
-    f"{gexgroup.ISO_ORACLE_ORDER_CAP}, E(n) table n <= {clifford.MAX_N}"
+    f"search), admissibility oracle dim <= {quadform.VALUE_TABLE_DIM_CAP}, "
+    f"group models dim <= {gexgroup.FROM_FORM_DIM_CAP}, group isomorphism "
+    f"oracle order <= {gexgroup.ISO_ORACLE_ORDER_CAP}, E(n) table n <= "
+    f"{clifford.MAX_N}"
 )
 
 
@@ -130,7 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--oracle",
         action="store_true",
-        help=f"cross-check with the exhaustive search (dim <= {adm.BRUTEFORCE_DIM_CAP})",
+        help=(
+            "cross-check with the definition-level greedy walk "
+            f"(dim <= {quadform.VALUE_TABLE_DIM_CAP})"
+        ),
     )
     p.set_defaults(fn=cmd_admissible)
 

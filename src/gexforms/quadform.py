@@ -29,7 +29,6 @@ from .f2linalg import (
     _transpose_rows,
     invertible_matrices,
     is_invertible,
-    kernel_basis,
     rank,
     symplectic_basis,
 )
@@ -224,8 +223,8 @@ class FormClass:
     def __post_init__(self):
         if 2 * self.m1 + self.m2 != self.dim:
             raise ValueError("2*m1 + m2 must equal dim")
-        if self.kind is Kind.MINUS and self.m1 < 1:
-            raise ValueError("Minus kind requires m1 >= 1")
+        if self.kind in (Kind.PLUS, Kind.MINUS) and self.m1 < 1:
+            raise ValueError(f"{self.kind.value} kind requires m1 >= 1")
         if self.kind is Kind.QONE and self.m2 < 1:
             raise ValueError("QOne kind requires m2 >= 1")
         if self.kind is Kind.ZERO and self.m1 != 0:

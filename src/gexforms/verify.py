@@ -90,8 +90,10 @@ def check_classification_complete(max_dim: int = 3):
 
 
 def check_admissibility(max_exhaustive_dim: int = 4, random_per_dim: int = 200):
-    """Classification-based admissibility equals the backtracking search, and
-    every basis the search finds passes the direct checks."""
+    """Classification-based admissibility equals the definition-level oracle
+    (is_admissible_bruteforce, a greedy walk for a basis of vectors with
+    Q = 1 and a nonzero polar row), and every basis it finds passes the
+    direct checks."""
     rng = random.Random(get_seed())
     anchors = [
         (quadform.h_plus(), False),
@@ -103,7 +105,7 @@ def check_admissibility(max_exhaustive_dim: int = 4, random_per_dim: int = 200):
         if adm.is_admissible(q) != expected:
             return False, f"anchor {q.to_string()} expected {expected}"
         if (adm.is_admissible_bruteforce(q) is not None) != expected:
-            return False, f"search at anchor {q.to_string()} expected {expected}"
+            return False, f"oracle at anchor {q.to_string()} expected {expected}"
     forms = [
         q for dim in range(1, max_exhaustive_dim + 1) for q in quadform.all_forms(dim)
     ]
@@ -115,7 +117,7 @@ def check_admissibility(max_exhaustive_dim: int = 4, random_per_dim: int = 200):
         if adm.is_admissible(q) != (basis is not None):
             return False, f"oracle disagreement at {q.to_string()}"
         if basis is not None and not adm.check_basis(q, basis):
-            return False, f"invalid search basis at {q.to_string()}"
+            return False, f"invalid oracle basis at {q.to_string()}"
     return True, f"{len(forms)} forms"
 
 

@@ -37,7 +37,7 @@ def test_classification_matches_exhaustive_isometry_search():
 
 
 def test_admissibility_verdict_matches_bruteforce_search():
-    """Classification verdict equals the definition-level backtracking search:
+    """Classification verdict equals the definition-level oracle:
     exhaustive at dims 1-4, 1000 seeded random forms each at dims 5 and 6,
     plus the four fixed anchors."""
     start = time.perf_counter()

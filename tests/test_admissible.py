@@ -5,7 +5,6 @@ import pytest
 from gexforms import admissible, f2linalg, quadform
 from gexforms.f2linalg import _row_image
 from gexforms.admissible import (
-    BRUTEFORCE_DIM_CAP,
     _standard_basis,
     admissible_witness,
     check_basis,
@@ -13,6 +12,7 @@ from gexforms.admissible import (
     is_admissible_bruteforce,
 )
 from gexforms.quadform import (
+    VALUE_TABLE_DIM_CAP,
     FormClass,
     Kind,
     QuadraticForm,
@@ -241,7 +241,9 @@ def test_every_class_behind_a_hidden_basis():
     """Every class at dims 0-16 and at dim 64, its standard form hidden
     behind a seeded random basis: classify finds the class, the witness
     carries the form back onto the standard form, and the verdict follows
-    the theorem's table with a basis that check_basis accepts."""
+    the theorem's table with a basis that check_basis accepts.  At dims
+    0-12 the definition-level oracle gives the same verdict, and its bases
+    pass check_basis too."""
     rng = random.Random(RNG_SEED + 6)
     dims = [*range(17), 64]
     classes = [fc for dim in dims for fc in _all_classes(dim)]
@@ -258,6 +260,27 @@ def test_every_class_behind_a_hidden_basis():
             assert check_basis(q, w), q.to_string()
         else:
             assert w is None
+        if fc.dim <= 12:
+            basis = is_admissible_bruteforce(q)
+            if expected:
+                assert check_basis(q, basis), q.to_string()
+            else:
+                assert basis is None, q.to_string()
+
+
+def test_bruteforce_at_the_value_table_cap():
+    """One admissible and one non-admissible class at dim 20, the oracle's
+    cap, each behind a seeded random basis: the oracle agrees with the
+    theorem's table, and its basis passes check_basis."""
+    assert VALUE_TABLE_DIM_CAP == 20
+    rng = random.Random(RNG_SEED + 7)
+    for fc in (FormClass(20, 3, Kind.MINUS, 14), FormClass(20, 1, Kind.QONE, 18)):
+        q = change_basis(standard_form(fc), random_invertible(20, rng))
+        basis = is_admissible_bruteforce(q)
+        if _theorem_admissible(fc):
+            assert check_basis(q, basis), q.to_string()
+        else:
+            assert basis is None, q.to_string()
 
 
 def test_witness_each_admissible_class_shape():
@@ -289,7 +312,7 @@ def test_bruteforce_agrees_exhaustively_small():
 def test_bruteforce_random_at_cap():
     rng = random.Random(RNG_SEED + 2)
     for _ in range(100):
-        q = random_form(BRUTEFORCE_DIM_CAP, rng)
+        q = random_form(6, rng)
         basis = is_admissible_bruteforce(q)
         assert (basis is not None) == is_admissible(q)
         if basis is not None:
@@ -297,14 +320,16 @@ def test_bruteforce_random_at_cap():
 
 
 def test_bruteforce_rejects_above_cap():
-    q = random_form(BRUTEFORCE_DIM_CAP + 1, random.Random(RNG_SEED + 3))
-    with pytest.raises(ValueError, match="capped at dimension 6"):
+    q = random_form(21, random.Random(RNG_SEED + 3))
+    with pytest.raises(ValueError, match="value table capped at dimension 20"):
         is_admissible_bruteforce(q)
 
 
 def _reference_bruteforce(q):
-    """The search as it stood before its value and partner-mask tables: one
-    eval_bits and one polar row image per vector, a k^2 partner loop."""
+    """The backtracking search as it stood before its value and partner-mask
+    tables: one eval_bits and one polar row image per vector, a k^2 partner
+    loop.  Any admissible basis would do as an answer; this copy pins the
+    oracle's choice, the lexicographically first one, bit for bit."""
     n = q.dim
     if n == 0:
         return None

@@ -80,7 +80,7 @@ Q1_ZERO14 = "l=15;d=1" + "0" * 14 + ";u=" + "0" * 105
     "seed, argv",
     [
         (None, ["classify", "l=2;d=00;u=0;"]),
-        (None, ["admissible", "l=7;d=" + "0" * 7 + ";u=" + "0" * 21, "--oracle"]),
+        (None, ["admissible", "l=21;d=" + "0" * 21 + ";u=" + "0" * 210, "--oracle"]),
         (None, ["group", "l=17;d=" + "0" * 17 + ";u=" + "0" * 136]),
         (None, ["central-product", H_MINUS, ZERO2]),
         (None, ["central-product", H_MINUS, Q1_ZERO14]),
@@ -129,10 +129,18 @@ def test_admissible_witness_and_oracle(capsys):
 
 
 def test_admissible_oracle_cap(capsys):
-    big = "l=7;d=" + "0" * 7 + ";u=" + "0" * 21
+    big = "l=21;d=" + "0" * 21 + ";u=" + "0" * 210
     code, _, err = run(capsys, "admissible", big, "--oracle")
     assert code == 2
     assert "capped" in err
+
+
+def test_admissible_oracle_disagreement(capsys, monkeypatch):
+    """An oracle that misses the basis of an admissible form is reported on
+    stdout with exit code 1."""
+    monkeypatch.setattr(admissible, "is_admissible_bruteforce", lambda q: None)
+    code, out, err = run(capsys, "admissible", H_MINUS, "--oracle")
+    assert (code, out, err) == (1, "ADMISSIBLE (ORACLE DISAGREES)\n", "")
 
 
 def test_group_summary(capsys):
@@ -200,7 +208,7 @@ def test_help_names_each_cap(capsys):
     text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
     for phrase in (
         f"isometry oracle dim <= {quadform.ORACLE_DIM_CAP} (exhaustive GL search)",
-        f"admissibility oracle dim <= {admissible.BRUTEFORCE_DIM_CAP}",
+        f"admissibility oracle dim <= {quadform.VALUE_TABLE_DIM_CAP}",
         f"group models dim <= {gexgroup.FROM_FORM_DIM_CAP}",
         f"group isomorphism oracle order <= {gexgroup.ISO_ORACLE_ORDER_CAP}",
         f"E(n) table n <= {clifford.MAX_N}",

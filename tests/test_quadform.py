@@ -469,6 +469,8 @@ def test_form_class_validation():
     with pytest.raises(ValueError):
         FormClass(2, 0, Kind.MINUS, 2)  # Minus needs a hyperbolic pair
     with pytest.raises(ValueError):
+        FormClass(2, 0, Kind.PLUS, 2)  # so does Plus
+    with pytest.raises(ValueError):
         FormClass(2, 1, Kind.QONE, 0)  # QOne needs radical room
     with pytest.raises(ValueError):
         FormClass(2, 1, Kind.ZERO, 0)  # Zero form has no pairs
