@@ -306,9 +306,10 @@ def _is_full_isomorphism(g1, g2, m) -> bool:
 
 
 def test_isomorphism_passes_the_full_table_check():
-    """The map the search returns is an isomorphism over every pair, for the
-    reference tables against their models and for seeded same-class pairs
-    at orders 8-64; the search itself checks no pair beyond its closure."""
+    """The map the certificate returns is an isomorphism over every pair,
+    for the reference tables against their models and for seeded same-class
+    pairs at orders 8-64; the oracle itself checks no pair beyond its
+    closure."""
     rng = random.Random(RNG_SEED + 5)
     pairs = [
         (from_form(q), TableGroup(t))
@@ -325,24 +326,26 @@ def test_isomorphism_passes_the_full_table_check():
 
 
 def test_closure_rejects_conflicts_and_collisions():
-    """The closure drops a partial map that two words for one element send to
+    """The closure drops a map that two words for one element send to
     different images, and one that sends two elements to one image."""
     # Z4 x Z2 with a and ac of order 4, a^2 = (ac)^2 the central involution.
     z4z2 = _Law(from_form(direct_sum(q_one(), zero_form(1))))
     q8 = _Law(TableGroup(Q8_TABLE))
     a, ac = 2, 6
     i, j = 2, 4
-    assert z4z2.relation(a, ac) == (True, 2)
-    assert q8.relation(i, j) == (False, 4)
-    # The map is extended one generator at a time: first a -> i, then ac.
-    to_q8 = _try_generator_images(z4z2, q8, (a,), (i,), {0: 0})
-    assert len(to_q8) == 4
+    # a and ac commute with a product of order 2; i and j do not, and ij
+    # has order 4.
+    assert z4z2.pmul(a, ac) == z4z2.pmul(ac, a)
+    assert z4z2.element_orders[z4z2.pmul(a, ac)] == 2
+    assert q8.pmul(i, j) != q8.pmul(j, i)
+    assert q8.element_orders[q8.pmul(i, j)] == 4
+    assert len(_try_generator_images(z4z2, q8, (a,), (i,))) == 4
     # Squares and orders match, but a * ac = ac * a while ij = k != -k = ji.
-    assert _try_generator_images(z4z2, q8, (a, ac), (i, j), to_q8) is None
+    assert _try_generator_images(z4z2, q8, (a, ac), (i, j)) is None
     # Both to i is a homomorphism with kernel <c>: no conflict, a collision.
-    assert _try_generator_images(z4z2, q8, (a, ac), (i, i), to_q8) is None
-    to_self = _try_generator_images(z4z2, z4z2, (a,), (a,), {0: 0})
-    assert len(_try_generator_images(z4z2, z4z2, (a, ac), (a, ac), to_self)) == 8
+    assert _try_generator_images(z4z2, q8, (a, ac), (i, i)) is None
+    assert len(_try_generator_images(z4z2, z4z2, (a,), (a,))) == 4
+    assert len(_try_generator_images(z4z2, z4z2, (a, ac), (a, ac))) == 8
 
 
 def test_q8q8_is_d8d8_but_q8_is_not_d8():
@@ -353,7 +356,7 @@ def test_q8q8_is_d8d8_but_q8_is_not_d8():
 
 
 def test_iso_oracle_order_cap():
-    big = from_form(zero_form(6))
+    big = from_form(zero_form(13))
     with pytest.raises(ValueError):
         iso_oracle(big, big)
     # The cap and the order comparison come before any invariant is read.
@@ -363,14 +366,60 @@ def test_iso_oracle_order_cap():
     assert not iso_oracle(g16, from_form(zero_form(4)))
 
 
+def test_iso_oracle_refuses_groups_outside_the_family():
+    """Equal censuses with |Phi| > 2 are outside the family, so the cyclic
+    group of order 8 is refused against itself; against Z4 x Z2 and Q8 its
+    census already differs."""
+    z8 = TableGroup(tuple(tuple((a + b) % 8 for b in range(8)) for a in range(8)))
+    with pytest.raises(ValueError, match=r"\|Phi\| = 4"):
+        iso_oracle(z8, z8)
+    assert not iso_oracle(z8, from_form(direct_sum(q_one(), zero_form(1))))
+    assert not iso_oracle(z8, TableGroup(Q8_TABLE))
+
+
+def test_certificate_failure_raises_naming_both_forms(monkeypatch):
+    """A certificate that fails on equal censuses is a defect, not a False.
+    H- + H+ + 0 has the witness columns a-, b-, a+, b+, r.  Swapping b- and
+    b+ on the second side changes two squares, so the closure meets a
+    conflict; the map it would build without that test is injective.  H+ +
+    0^3 has the columns a, b, r1, r2, r3, and repeating r3 in place of r2
+    keeps every relation, so the map is a homomorphism with a kernel and
+    the closure meets a collision.  Either way iso_oracle raises
+    RuntimeError naming both forms it read, which for a model are the forms
+    of its lifts."""
+    normal_basis = gexgroup._normal_basis
+    rng = random.Random(RNG_SEED + 9)
+    swap = lambda cols: [cols[0], cols[3], cols[2], cols[1], cols[4]]
+    repeat = lambda cols: [*cols[:3], cols[4], cols[4]]
+    cases = [
+        (FormClass(5, 2, Kind.MINUS, 1), swap),
+        (FormClass(5, 1, Kind.PLUS, 3), repeat),
+    ]
+    for fc, edit in cases:
+        sides = []
+
+        def edited(q, edit=edit, sides=sides):
+            got, cols = normal_basis(q)
+            sides.append(q)
+            return got, edit(cols) if len(sides) == 2 else cols
+
+        monkeypatch.setattr(gexgroup, "_normal_basis", edited)
+        g1, g2 = _hidden_model(fc, rng), _hidden_model(fc, rng)
+        with pytest.raises(RuntimeError) as failure:
+            iso_oracle(g1, g2)
+        assert len(sides) == 2
+        assert g1.form.to_string() in str(failure.value)
+        assert g2.form.to_string() in str(failure.value)
+
+
 def test_table_frattini_matches_form_level_order():
     """|Phi| read through the law, as the subgroup the squares generate, is
     the form-level frattini_order; the greedy basis modulo Phi has
-    log2(order / |Phi|) generators and its closure, grown one generator at
-    a time, is the whole group; the elements that commute with the basis,
-    found one coset at a time, are the center.  Every form of dim <= 4, and
-    seeded hidden bases of every class at dim 5 (order 64, Z2^6 and
-    Z4 x Z2^4 among them) against the brute-force center."""
+    log2(order / |Phi|) generators and its closure is the whole group; the
+    elements that commute with the basis, found one coset at a time, are
+    the center.  Every form of dim <= 4, and seeded hidden bases of every
+    class at dim 5 (order 64, Z2^6 and Z4 x Z2^4 among them) against the
+    brute-force center."""
     groups = [
         (g, frattini_order(g), set(center(g)))
         for dim in range(5)
@@ -394,10 +443,7 @@ def test_table_frattini_matches_form_level_order():
         law = _Law(g)
         assert len(law.frattini) == phi_order
         assert 1 << len(law.basis) == g.order // phi_order
-        span = {law.identity: law.identity}
-        for k in range(1, len(law.basis) + 1):
-            gens = law.basis[:k]
-            span = _try_generator_images(law, law, gens, gens, span)
+        span = _try_generator_images(law, law, law.basis, law.basis)
         assert len(span) == g.order
         assert {x for x in range(g.order) if law.central[x]} == center_set
     # The basis generates only in a 2-group, so other orders are refused,
@@ -440,10 +486,12 @@ def _hidden_model(fc, rng):
 
 
 def test_iso_oracle_tail_classes():
-    """The non-abelian classes with a radical, whose same-class pairs once
-    took from milliseconds to tens of seconds depending on the hidden bases,
-    are found isomorphic on every seeded basis; every ordered pair of
-    distinct classes at orders 32 and 64 is told apart."""
+    """Every class at dims 5-10 and three at dim 12 (the cap) are found
+    isomorphic on seeded hidden bases and told apart from another class of
+    their dimension; among them the non-abelian classes with a radical,
+    whose same-class pairs once took from milliseconds to tens of seconds
+    depending on the hidden bases.  Every ordered pair of distinct classes
+    at orders 32 and 64 is told apart."""
     rng = random.Random(RNG_SEED + 6)
     tail = [
         FormClass(4, 1, Kind.PLUS, 2),
@@ -463,6 +511,16 @@ def test_iso_oracle_tail_classes():
                 if fc1 != fc2:
                     g1, g2 = _hidden_model(fc1, rng), _hidden_model(fc2, rng)
                     assert not iso_oracle(g1, g2), (fc1, fc2)
+    for dim in range(5, 11):
+        classes = _form_classes(dim)
+        for fc in classes:
+            other = rng.choice([c for c in classes if c != fc])
+            g = _hidden_model(fc, rng)
+            assert iso_oracle(g, _hidden_model(fc, rng)), fc
+            assert not iso_oracle(g, _hidden_model(other, rng)), (fc, other)
+    for kind in (Kind.PLUS, Kind.MINUS, Kind.QONE):
+        fc = FormClass(12, 4, kind, 4)
+        assert iso_oracle(_hidden_model(fc, rng), _hidden_model(fc, rng)), fc
 
 
 def test_classify_group_dictionary():
