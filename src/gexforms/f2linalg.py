@@ -113,12 +113,6 @@ class BitMatrix:
             if r >> self.cols:
                 raise ValueError("row bits set beyond column count")
 
-    def matvec_bits(self, v: int) -> int:
-        bits = 0
-        for i in range(self.rows):
-            bits |= _parity(self.data[i] & v) << i
-        return bits
-
     @staticmethod
     def identity(n: int) -> "BitMatrix":
         return BitMatrix(n, n, tuple(1 << i for i in range(n)))

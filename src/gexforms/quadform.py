@@ -71,13 +71,23 @@ class QuadraticForm:
 
     @cached_property
     def value_table(self) -> tuple[int, ...]:
-        """Q(v) for every v in 0..2^dim-1, by eval_bits' formula read over the
-        span table of ``upper``; raises ValueError above VALUE_TABLE_DIM_CAP,
-        before any entry is built."""
+        """Q(v) for every v in 0..2^dim-1, by eval_bits' formula; raises
+        ValueError above VALUE_TABLE_DIM_CAP, before any entry is built.
+
+        The row image of v = hi * 2^h + lo is low[lo] ^ high[hi], read from
+        the span tables of the low h rows of ``upper`` and of the rest, so
+        only 2^h + 2^(dim-h) row images are alive beside the tuple, not 2^dim.
+        """
         if self.dim > VALUE_TABLE_DIM_CAP:
             raise ValueError(f"value table capped at dimension {VALUE_TABLE_DIM_CAP}")
-        diag = self.diag
-        return tuple(_parity((diag ^ u) & v) for v, u in enumerate(_span(self.upper)))
+        h = (self.dim + 1) // 2
+        low = _span(self.upper[:h])
+        high = [self.diag ^ u for u in _span(self.upper[h:])]
+        return tuple(
+            ((d ^ u) & v).bit_count() & 1
+            for hi, d in enumerate(high)
+            for v, u in enumerate(low, hi << h)
+        )
 
     def is_zero_form(self) -> bool:
         return self.diag == 0 and not any(self.upper)

@@ -45,6 +45,8 @@ from gexforms.quadform import (
     zero_form,
 )
 
+from reference import cocycle_law
+
 RNG_SEED = 271828
 
 
@@ -245,18 +247,28 @@ def test_central_makes_the_law_applications_of_its_docstring(monkeypatch):
 
 
 def test_pmul_is_the_cocycle_row_law():
-    """pmul(x, y) == x ^ y ^ parity(cocycle_row(x) & y): the inlined law and
-    cocycle_row, which verify and clifford read, stay one law; every model
-    of dim <= 3 and seeded models of dim 5, over all pairs."""
+    """pmul(x, y) and x ^ y ^ parity(cocycle_row(x) & y) are both the law
+    (u, eps)(v, delta) = (u + v, eps + delta + u^T M v), summed term by term
+    from the form, over all pairs: on a fresh model, whose row memo fills as
+    it multiplies, and on one whose rows were all cached first.  Every model
+    of dim <= 3 and seeded models of dim 5.  The memo holds at most one row
+    per left factor and leaves equality, hash and repr alone."""
     rng = random.Random(RNG_SEED + 8)
     forms = [q for dim in range(4) for q in all_forms(dim)]
     forms += [random_form(5, rng) for _ in range(12)]
     for q in forms:
-        g = from_form(q)
-        for x in range(g.order):
-            row = g.cocycle_row(x)
-            for y in range(g.order):
-                assert g.pmul(x, y) == x ^ y ^ _parity(row & y), (q, x, y)
+        fresh, cached, idle = from_form(q), from_form(q), from_form(q)
+        for x in range(cached.order):
+            cached.cocycle_row(x)
+        for g in (fresh, cached):
+            for x in range(g.order):
+                for y in range(g.order):
+                    law = cocycle_law(q, x, y)
+                    assert g.pmul(x, y) == law, (q, x, y)
+                    assert x ^ y ^ _parity(g.cocycle_row(x) & y) == law, (q, x, y)
+            assert len(g._rows) <= g.order // 2, q
+        assert fresh == idle and hash(fresh) == hash(idle), q
+        assert repr(fresh) == repr(idle), q
 
 
 def test_serialization_round_trip():

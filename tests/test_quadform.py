@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -37,6 +39,8 @@ from gexforms.quadform import (
     sum_forms,
     zero_form,
 )
+
+from reference import matvec_bits
 
 RNG_SEED = 271828
 
@@ -367,7 +371,7 @@ def _matvec_images(n):
     order: one matvec_bits per vector and matrix, computed once per dim."""
     vectors = range(1 << n)
     return tuple(
-        (t, [t.matvec_bits(v) for v in vectors]) for t in invertible_matrices(n)
+        (t, [matvec_bits(t, v) for v in vectors]) for t in invertible_matrices(n)
     )
 
 
@@ -397,6 +401,22 @@ def test_span_table_and_value_table_match_their_definitions():
     forms += [random_form(dim, rng) for dim in range(5, 15) for _ in range(3)]
     for q in forms:
         assert q.value_table == tuple(q.eval_bits(v) for v in range(1 << q.dim))
+
+
+def test_value_table_peak_is_about_its_tuple():
+    """At dim 16 value_table keeps only the span tables of the two halves of
+    ``upper`` beside the tuple it builds, not a 2^16-entry span table: the
+    traced peak stays within twice the tuple's size, and the table is still
+    eval_bits entry by entry."""
+    q = random_form(16, random.Random(RNG_SEED + 14))
+    tracemalloc.start()
+    try:
+        table = q.value_table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * sys.getsizeof(table), (peak, sys.getsizeof(table))
+    assert table == tuple(q.eval_bits(v) for v in range(1 << 16))
 
 
 def test_value_table_cap_raises_before_building(monkeypatch):
@@ -450,7 +470,7 @@ def test_gl_actions_pull_a_tuple_per_vector():
         for t, pull in quadform._gl_actions(n):
             got = pull(table)
             assert isinstance(got, tuple) and len(got) == 1 << n, (n, got)
-            assert got == tuple(table[t.matvec_bits(v)] for v in range(1 << n))
+            assert got == tuple(table[matvec_bits(t, v)] for v in range(1 << n))
 
 
 def test_describe_strings():
