@@ -224,7 +224,8 @@ def symplectic_basis(q) -> tuple[list[tuple[int, int]], list[int], int]:
     vectors to update are whole masks, so no test needs a popcount.  Q on the
     working vectors is one mask, carried by Q(u + v) = Q(u) + Q(v) + B(u, v).
     Costs one transpose, the one in ``polar``, and one XOR per updated
-    vector, O(n^2) in all.
+    vector, O(n^2) in all: of the alive u, mask am (B(u, w) = 1 only) takes
+    v, bm (B(u, v) = 1 only) takes w, and both (the two at once) takes v + w.
     """
     n = q.dim
     rows = q.polar().data
@@ -256,10 +257,13 @@ def symplectic_basis(q) -> tuple[list[tuple[int, int]], list[int], int]:
         pairs.append((wv >> n, ww >> n))
         # u gains v where B(u, w) = 1 (am) and w where B(u, v) = 1 (bm), so
         # Q(u) gains Q(v) on am, Q(w) on bm, and B(u, v) + B(u, w) + B(v, w)
-        # = 1 on am & bm.
+        # = 1 on both = am & bm, whose rows take v + w in one XOR.
         am = ww & alive
         bm = partners ^ low
-        qm ^= (am if qv else 0) ^ (bm if qw else 0) ^ (am & bm)
+        both = am & bm
+        qm ^= (am if qv else 0) ^ (bm if qw else 0) ^ both
+        am ^= both
+        bm ^= both
         while am:
             i = am.bit_length() - 1
             work[i] ^= wv
@@ -268,6 +272,11 @@ def symplectic_basis(q) -> tuple[list[tuple[int, int]], list[int], int]:
             i = bm.bit_length() - 1
             work[i] ^= ww
             bm ^= 1 << i
+        vw = wv ^ ww
+        while both:
+            i = both.bit_length() - 1
+            work[i] ^= vw
+            both ^= 1 << i
     return pairs, radical, pair_q | radical_q << (2 * len(pairs))
 
 

@@ -15,6 +15,8 @@ from gexforms.f2linalg import (
     symplectic_basis,
 )
 from gexforms.quadform import (
+    FormClass,
+    Kind,
     QuadraticForm,
     change_basis,
     direct_sum,
@@ -22,10 +24,11 @@ from gexforms.quadform import (
     h_plus,
     random_form,
     random_invertible,
+    standard_form,
     zero_form,
 )
 
-from reference import matvec_bits
+from reference import matvec_bits, symplectic_pairs
 
 CYCLE3 = BitMatrix(3, 3, (0b110, 0b101, 0b011))  # rows (011),(101),(110)
 CYCLE3_FORM = QuadraticForm(3, 0, (0b110, 0b100, 0))  # its polar form is CYCLE3
@@ -172,6 +175,21 @@ def test_is_invertible():
         is_invertible(BitMatrix(2, 3, (0,) * 2))
 
 
+def test_bitmatrix_rejects_rows_and_sizes_the_packed_block_cannot_hold():
+    """_echelon and _transpose_rows pack each row into a slot at least cols
+    wide and rely on BitMatrix for every row being in range: a bit at or
+    beyond cols that stays inside its slot would be read as a column."""
+    for data in ((0b111, 0b10), (0b100, 0b100), (0, 1 << 7), (-1, 0), (0, -2)):
+        with pytest.raises(ValueError, match="row bits set beyond column count"):
+            BitMatrix(2, 2, data)
+    for data in ((0,), (0, 0, 0)):
+        with pytest.raises(ValueError, match="row count mismatch"):
+            BitMatrix(2, 2, data)
+    for rows, cols in ((65, 1), (1, 65), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="matrix dimensions out of range"):
+            BitMatrix(rows, cols, (0,) * max(rows, 0))
+
+
 def test_invertible_matrices_in_lexicographic_column_order():
     """invertible_matrices(n) is every full-rank column tuple, in the order
     of itertools.product over the nonzero columns; isometry_oracle returns
@@ -263,50 +281,12 @@ def test_from_cols_places_columns_and_rejects_bits_beyond_dim():
             BitMatrix.from_cols(dim, cols)
 
 
-def _reference_symplectic_basis(b):
-    """The original bit-by-bit decomposition, kept as the reference: B(u, w)
-    accumulates the rows of b selected by u, one bit at a time."""
-    n = b.rows
-
-    def _parity_acc(u, v):
-        acc = 0
-        for i in range(n):
-            if (u >> i) & 1:
-                acc ^= b.data[i]
-        return (acc & v).bit_count() & 1
-
-    working = [1 << i for i in range(n)]
-    pairs = []
-    radical = []
-    while working:
-        v = working[0]
-        partner = None
-        for w in working[1:]:
-            if _parity_acc(v, w):
-                partner = w
-                break
-        if partner is None:
-            radical.append(v)
-            working = working[1:]
-            continue
-        pairs.append((v, partner))
-        rest = []
-        for u in working:
-            if u in (v, partner):
-                continue
-            u2 = u
-            if _parity_acc(u, partner):
-                u2 ^= v
-            if _parity_acc(u, v):
-                u2 ^= partner
-            rest.append(u2)
-        working = rest
-    return pairs, radical
-
-
 def _reference_corpus():
     """Forms of every dim 0-64: random, radical-heavy, and (every fourth dim)
-    radical-heavy behind a hidden basis."""
+    radical-heavy behind a hidden basis; then, at dims 8, 15, 32, 63 and 64,
+    standard Plus, Minus and QOne forms with the smallest radical the dim
+    allows behind a hidden basis: admissible forms of the shape that the
+    forms-pipeline benchmark times."""
     rng = random.Random(17)
     forms = []
     for d in range(65):
@@ -316,12 +296,17 @@ def _reference_corpus():
         forms.append(radical_heavy)
         if d % 4 == 0:
             forms.append(change_basis(radical_heavy, random_invertible(d, rng)))
+    for d in (8, 15, 32, 63, 64):
+        for kind in (Kind.PLUS, Kind.MINUS, Kind.QONE):
+            m2 = d % 2 or (2 if kind is Kind.QONE else 0)
+            fc = FormClass(d, (d - m2) // 2, kind, m2)
+            forms.append(change_basis(standard_form(fc), random_invertible(d, rng)))
     return forms
 
 
 def test_symplectic_matches_reference_bit_for_bit():
     for q in _reference_corpus():
-        expected = _reference_symplectic_basis(q.polar())
+        expected = symplectic_pairs(q.polar())
         assert symplectic_basis(q)[:2] == expected, q.to_string()
 
 
