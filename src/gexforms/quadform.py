@@ -6,10 +6,11 @@ GF(2)^l is isometric to exactly one of
 
     H+^m1 (+) 0^m2        H- (+) H+^(m1-1) (+) 0^m2        H+^m1 (+) Q1 (+) 0^(m2-1)
 
-with 2*m1 + m2 = l, plus the zero form.  ``_normal_basis`` decides which
-from one symplectic decomposition, and is the one place that lays out the
-standard basis: H- first, then H+ blocks, then Q1, then zeros.  ``classify``
-returns its class and ``normal_form_witness`` its change of basis.
+with 2*m1 + m2 = l, plus the zero form; ``form_classes`` lists them per
+dimension.  ``_normal_basis`` decides which from one symplectic
+decomposition, and is the one place that lays out the standard basis: H-
+first, then H+ blocks, then Q1, then zeros.  ``classify`` returns its class
+and ``normal_form_witness`` its change of basis.
 """
 
 from __future__ import annotations
@@ -231,6 +232,10 @@ class FormClass:
     m2: int
 
     def __post_init__(self):
+        if not 0 <= self.dim <= MAX_DIM:
+            raise ValueError(f"dimension {self.dim} out of range")
+        if self.m1 < 0 or self.m2 < 0:
+            raise ValueError("m1 and m2 must be nonnegative")
         if 2 * self.m1 + self.m2 != self.dim:
             raise ValueError("2*m1 + m2 must equal dim")
         if self.kind in (Kind.PLUS, Kind.MINUS) and self.m1 < 1:
@@ -254,6 +259,21 @@ class FormClass:
         if m2 > 0:
             parts.append("0" if m2 == 1 else f"0^{m2}")
         return " + ".join(parts) if parts else "0^0"
+
+
+def form_classes(dim: int) -> tuple[FormClass, ...]:
+    """Every class of forms on GF(2)^dim, by m1: Zero then QOne at m1 = 0,
+    and Plus, Minus, then QOne if m2 > 0 at each m1 >= 1."""
+    if not 0 <= dim <= MAX_DIM:
+        raise ValueError(f"dimension {dim} out of range")
+    classes = []
+    for m1 in range(dim // 2 + 1):
+        m2 = dim - 2 * m1
+        kinds = [Kind.PLUS, Kind.MINUS] if m1 else [Kind.ZERO]
+        if m2:
+            kinds.append(Kind.QONE)
+        classes += [FormClass(dim, m1, kind, m2) for kind in kinds]
+    return tuple(classes)
 
 
 def _normal_basis(q: QuadraticForm) -> tuple[FormClass, list[int]]:

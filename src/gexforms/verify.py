@@ -75,11 +75,16 @@ def _check(name: str, claim: str, fn) -> CheckResult:
 
 
 def check_classification_complete(max_dim: int = 3):
-    """classify is a complete isometry invariant, against the GL exhaustion."""
+    """classify is a complete isometry invariant, against the GL exhaustion,
+    and at each dim it returns exactly the classes of ``form_classes``."""
     checked = 0
     for dim in range(max_dim + 1):
         forms = list(quadform.all_forms(dim))
         classes = [quadform.classify(q) for q in forms]
+        unmatched = set(classes) ^ set(quadform.form_classes(dim))
+        if unmatched:
+            names = ", ".join(sorted(fc.describe() for fc in unmatched))
+            return False, f"classify and form_classes differ at dim {dim}: {names}"
         for i, q in enumerate(forms):
             for j in range(i, len(forms)):
                 witness = quadform.isometry_oracle(q, forms[j])

@@ -3,6 +3,7 @@
 Each shares no code with the library path it checks, and none imports
 gexforms.  Each is written from the definition, term by term, except
 symplectic_pairs, which copies an algorithm because its output is a choice.
+A group is given by its order and its law ``mul`` on 0 .. order - 1.
 """
 
 
@@ -12,6 +13,21 @@ def matvec_bits(m, v: int) -> int:
     for i, row in enumerate(m.data):
         bits |= ((row & v).bit_count() & 1) << i
     return bits
+
+
+def bilinear(b, u: int, v: int) -> int:
+    """B(u, v) = u^T B v for the BitMatrix b: the rows of b selected by u,
+    summed, then the parity of that sum AND v."""
+    acc = 0
+    for i, row in enumerate(b.data):
+        if u >> i & 1:
+            acc ^= row
+    return (acc & v).bit_count() & 1
+
+
+def polarization(q, u: int, v: int) -> int:
+    """B_Q(u, v) = Q(u + v) + Q(u) + Q(v), from three evaluations of q."""
+    return q.eval_bits(u ^ v) ^ q.eval_bits(u) ^ q.eval_bits(v)
 
 
 def cocycle_law(q, x: int, y: int) -> int:
@@ -28,10 +44,30 @@ def cocycle_law(q, x: int, y: int) -> int:
     return (u ^ v) << 1 | (x ^ y ^ c) & 1
 
 
+def central_elements(order: int, mul) -> set[int]:
+    """The center: every x that commutes with every y.  A y already found
+    central commutes with x, so it is not tested again."""
+    center = set()
+    for x in range(order):
+        if all(mul(x, y) == mul(y, x) for y in range(order) if y not in center):
+            center.add(x)
+    return center
+
+
+def is_isomorphism(images, order: int, mul_a, mul_b) -> bool:
+    """x -> images[x], x = 0 .. order - 1, is injective and carries mul_a
+    onto mul_b: images[mul_a(x, y)] = mul_b(images[x], images[y]) for every
+    x and y, all order^2 pairs."""
+    elements = range(order)
+    f = [images[x] for x in elements]
+    return len(set(f)) == order and all(
+        f[mul_a(x, y)] == mul_b(f[x], f[y]) for x in elements for y in elements
+    )
+
+
 def symplectic_pairs(b) -> tuple[list[tuple[int, int]], list[int]]:
-    """(pairs, radical) of the alternating BitMatrix b by the original
-    bit-by-bit decomposition: B(u, w) accumulates the rows of b selected by
-    u, one bit at a time.
+    """(pairs, radical) of the alternating BitMatrix b, with each B(u, w)
+    read through ``bilinear``.
 
     A bit-for-bit copy of an algorithm, not a definition: many symplectic
     bases satisfy the definition, and which pairs come out is an arbitrary
@@ -39,23 +75,14 @@ def symplectic_pairs(b) -> tuple[list[tuple[int, int]], list[int]]:
     witness matrices, the CLI text and the README examples depend on that
     choice, so the library must make exactly this one.
     """
-    n = b.rows
-
-    def _parity_acc(u, v):
-        acc = 0
-        for i in range(n):
-            if (u >> i) & 1:
-                acc ^= b.data[i]
-        return (acc & v).bit_count() & 1
-
-    working = [1 << i for i in range(n)]
+    working = [1 << i for i in range(b.rows)]
     pairs = []
     radical = []
     while working:
         v = working[0]
         partner = None
         for w in working[1:]:
-            if _parity_acc(v, w):
+            if bilinear(b, v, w):
                 partner = w
                 break
         if partner is None:
@@ -68,9 +95,9 @@ def symplectic_pairs(b) -> tuple[list[tuple[int, int]], list[int]]:
             if u in (v, partner):
                 continue
             u2 = u
-            if _parity_acc(u, partner):
+            if bilinear(b, u, partner):
                 u2 ^= v
-            if _parity_acc(u, v):
+            if bilinear(b, u, v):
                 u2 ^= partner
             rest.append(u2)
         working = rest

@@ -91,14 +91,12 @@ def test_group_classification_matches_isomorphism_oracle():
     start = time.perf_counter()
     ok = True
     for dim in range(5):
-        reps = {}
+        classes = quadform.form_classes(dim)
+        reps = {fc: gexgroup.from_form(quadform.standard_form(fc)) for fc in classes}
         for q in quadform.all_forms(dim):
-            fc = quadform.classify(q)
-            if fc not in reps:
-                reps[fc] = gexgroup.from_form(quadform.standard_form(fc))
-            if not gexgroup.iso_oracle(gexgroup.from_form(q), reps[fc]):
+            rep = reps[quadform.classify(q)]
+            if not gexgroup.iso_oracle(gexgroup.from_form(q), rep):
                 ok = False
-        classes = sorted(reps, key=lambda fc: (fc.m1, fc.kind.value, fc.m2))
         for i, fc1 in enumerate(classes):
             for fc2 in classes[i + 1 :]:
                 if gexgroup.iso_oracle(reps[fc1], reps[fc2]):

@@ -20,6 +20,7 @@ from gexforms.quadform import (
     change_basis,
     classify,
     direct_sum,
+    form_classes,
     h_minus,
     h_plus,
     normal_form_witness,
@@ -32,8 +33,7 @@ from gexforms.quadform import (
 )
 
 from reference import matvec_bits
-
-RNG_SEED = 271828
+from seeded import RNG_SEED, hidden_form
 
 
 def test_anchor_verdicts():
@@ -130,27 +130,18 @@ def test_witness_pull_back_matches_matvec():
     assert len(kinds) == 3
 
 
-def _random_class(dim, rng):
-    m1 = rng.randint(0, dim // 2)
-    m2 = dim - 2 * m1
-    kinds = [Kind.PLUS, Kind.MINUS] if m1 else [Kind.ZERO]
-    if m2:
-        kinds.append(Kind.QONE)
-    return FormClass(dim, m1, rng.choice(kinds), m2)
-
-
 def test_decision_paths_never_evaluate_the_form(monkeypatch):
     """classify, normal_form_witness, is_admissible and admissible_witness
-    read Q off the symplectic decomposition alone, on hidden forms of every
-    class at dims 0-64.  The references are taken before eval_bits is
-    switched off, because change_basis and check_basis evaluate Q."""
+    read Q off the symplectic decomposition alone, on hidden forms of two
+    seeded classes of form_classes at each dim 0-64.  The references are
+    taken before eval_bits is switched off, because change_basis and
+    check_basis evaluate Q."""
     rng = random.Random(RNG_SEED + 5)
     forms = []
     for dim in range(65):
         for _ in range(2):
-            fc = _random_class(dim, rng)
-            q = change_basis(standard_form(fc), random_invertible(dim, rng))
-            forms.append((q, fc))
+            fc = rng.choice(form_classes(dim))
+            forms.append((hidden_form(fc, rng), fc))
 
     def run(q):
         return (
@@ -177,17 +168,6 @@ def test_decision_paths_never_evaluate_the_form(monkeypatch):
         assert run(q) == ref, q.to_string()
 
 
-def _all_classes(dim):
-    yield FormClass(dim, 0, Kind.ZERO, dim)
-    for m1 in range(dim // 2 + 1):
-        m2 = dim - 2 * m1
-        if m1:
-            yield FormClass(dim, m1, Kind.PLUS, m2)
-            yield FormClass(dim, m1, Kind.MINUS, m2)
-        if m2:
-            yield FormClass(dim, m1, Kind.QONE, m2)
-
-
 def _theorem_admissible(fc):
     """The theorem's table, written out: Plus with m1 >= 2, any Minus, QOne
     with m1 >= 2; never Zero."""
@@ -209,7 +189,7 @@ def test_user_path_makes_the_decompositions_and_transposes_of_its_docstrings(
     each binding is counted."""
     rng = random.Random(RNG_SEED + 9)
     forms = [
-        change_basis(standard_form(fc), random_invertible(fc.dim, rng))
+        hidden_form(fc, rng)
         for fc in (
             FormClass(12, 3, Kind.PLUS, 6),
             FormClass(12, 3, Kind.MINUS, 6),
@@ -248,10 +228,10 @@ def test_every_class_behind_a_hidden_basis():
     pass check_basis too."""
     rng = random.Random(RNG_SEED + 6)
     dims = [*range(17), 64]
-    classes = [fc for dim in dims for fc in _all_classes(dim)]
+    classes = [fc for dim in dims for fc in form_classes(dim)]
     assert len(classes) == 217 + 97
     for fc in classes:
-        q = change_basis(standard_form(fc), random_invertible(fc.dim, rng))
+        q = hidden_form(fc, rng)
         assert classify(q) == fc, q.to_string()
         t = normal_form_witness(q).map
         assert change_basis(q, t) == standard_form(fc), q.to_string()
@@ -277,7 +257,7 @@ def test_bruteforce_at_the_value_table_cap():
     assert VALUE_TABLE_DIM_CAP == 20
     rng = random.Random(RNG_SEED + 7)
     for fc in (FormClass(20, 3, Kind.MINUS, 14), FormClass(20, 1, Kind.QONE, 18)):
-        q = change_basis(standard_form(fc), random_invertible(20, rng))
+        q = hidden_form(fc, rng)
         basis = is_admissible_bruteforce(q)
         if _theorem_admissible(fc):
             assert check_basis(q, basis), q.to_string()
@@ -328,10 +308,13 @@ def test_bruteforce_rejects_above_cap():
 
 
 def _reference_bruteforce(q):
-    """The backtracking search as it stood before its value and partner-mask
-    tables: one eval_bits and one polar row image per vector, a k^2 partner
-    loop.  Any admissible basis would do as an answer; this copy pins the
-    oracle's choice, the lexicographically first one, bit for bit."""
+    """The lexicographically first admissible basis, by a backtracking search
+    over the vectors with Q = 1 in increasing order: one eval_bits and one
+    polar row image per vector, a k^2 partner loop.  Any admissible basis
+    meets the definition, so which one comes out is a choice; the
+    is_admissible_bruteforce docstring promises this one and reaches it by a
+    greedy rank walk instead, so this copy of a search pins that choice bit
+    for bit."""
     n = q.dim
     if n == 0:
         return None

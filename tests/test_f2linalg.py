@@ -24,11 +24,11 @@ from gexforms.quadform import (
     h_plus,
     random_form,
     random_invertible,
-    standard_form,
     zero_form,
 )
 
-from reference import matvec_bits, symplectic_pairs
+from reference import bilinear, matvec_bits, symplectic_pairs
+from seeded import hidden_form
 
 CYCLE3 = BitMatrix(3, 3, (0b110, 0b101, 0b011))  # rows (011),(101),(110)
 CYCLE3_FORM = QuadraticForm(3, 0, (0b110, 0b100, 0))  # its polar form is CYCLE3
@@ -54,9 +54,11 @@ def test_kernel_cycle():
 
 
 def _reference_rank_and_kernel(m):
-    """The elimination loop that rank and kernel_basis each ran before they
-    shared one (rank's copy kept no pivot list), with kernel_basis's
-    back-substitution, kept as the reference: (rank, kernel vector bits)."""
+    """(rank, kernel basis) by Gauss-Jordan elimination, one row XOR at a
+    time.  The rank is determined, but many bases span the kernel; the
+    public kernel_basis documents one, and this copy pins it bit for bit and
+    in order: one vector per free column, in increasing order, with a 1
+    there and, at each pivot column, that pivot row's bit in the column."""
     rows = list(m.data)
     pivots = []
     r = 0
@@ -140,15 +142,13 @@ def test_rank_and_kernel_match_reference_at_block_width_edges():
 
 
 def _reference_transpose_rows(rows, cols):
-    """The set-bit walk that _transpose_rows replaced, kept as the reference."""
-    data = [0] * cols
-    for i, row in enumerate(rows):
-        bit = 1 << i
-        while row:
-            j = row.bit_length() - 1
-            row ^= 1 << j
-            data[j] |= bit
-    return data
+    """The transpose by definition: bit j of row i becomes bit i of row j.
+    Each row is written as its string of cols bits, bit j at index j, and
+    zip turns the row strings into column strings."""
+    if not rows or not cols:
+        return [0] * cols
+    strings = [format(row, "b").zfill(cols)[::-1] for row in rows]
+    return [int("".join(column)[::-1], 2) for column in zip(*strings)]
 
 
 def test_transpose_rows_matches_reference_on_every_shape():
@@ -224,14 +224,6 @@ def test_symplectic_cycle():
     assert radical == [0b111]
 
 
-def _bilinear(b, u, v):
-    acc = 0
-    for i in range(b.rows):
-        if (u >> i) & 1:
-            acc ^= b.data[i]
-    return (acc & v).bit_count() & 1
-
-
 def test_symplectic_block_structure_random():
     rng = random.Random(11)
     for _ in range(100):
@@ -253,7 +245,7 @@ def test_symplectic_block_structure_random():
                 expected = 0
                 if i // 2 == j // 2 and i != j and i < 2 * len(pairs):
                     expected = 1
-                assert _bilinear(b, u, v) == expected
+                assert bilinear(b, u, v) == expected
 
 
 def test_rank_permutation_invariant():
@@ -300,7 +292,7 @@ def _reference_corpus():
         for kind in (Kind.PLUS, Kind.MINUS, Kind.QONE):
             m2 = d % 2 or (2 if kind is Kind.QONE else 0)
             fc = FormClass(d, (d - m2) // 2, kind, m2)
-            forms.append(change_basis(standard_form(fc), random_invertible(d, rng)))
+            forms.append(hidden_form(fc, rng))
     return forms
 
 

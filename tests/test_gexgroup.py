@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gexforms import gexgroup, verify
-from gexforms.f2linalg import _parity, kernel_basis
+from gexforms.f2linalg import _parity
 from gexforms.gexgroup import (
     FROM_FORM_DIM_CAP,
     BaseKind,
@@ -31,23 +31,20 @@ from gexforms.quadform import (
     Kind,
     QuadraticForm,
     all_forms,
-    change_basis,
     classify,
     direct_sum,
+    form_classes,
     h_minus,
     h_plus,
     parse_form,
     q_one,
     random_form,
-    random_invertible,
-    standard_form,
     sum_forms,
     zero_form,
 )
 
-from reference import cocycle_law
-
-RNG_SEED = 271828
+from reference import central_elements, cocycle_law, is_isomorphism
+from seeded import RNG_SEED, hidden_form
 
 
 def test_order_and_identity():
@@ -115,39 +112,22 @@ def test_d8_model_order_census():
 
 
 def test_center_matches_bruteforce():
+    """The center view has the size of the brute-force center and yields its
+    elements in sorted order: 20 seeded forms of dims 1-4, and at each dim
+    0-8 five seeded forms and one with each size of zero summand."""
     rng = random.Random(RNG_SEED + 1)
-    for _ in range(20):
-        q = random_form(rng.randrange(1, 5), rng)
-        g = from_form(q)
-        brute = {
-            x
-            for x in range(g.order)
-            if all(g.pmul(x, y) == g.pmul(y, x) for y in range(g.order))
-        }
-        assert set(center(g)) == brute
-
-
-def _center_reference(g):
-    """The center as an eagerly built, sorted list of packed elements."""
-    rad = kernel_basis(g.form.polar())
-    span = {0}
-    for r in rad:
-        span |= {s ^ r for s in span}
-    return sorted((v << 1) | e for v in span for e in (0, 1))
-
-
-def test_center_view_matches_element_list():
+    forms = [random_form(rng.randrange(1, 5), rng) for _ in range(20)]
     rng = random.Random(RNG_SEED + 4)
     for dim in range(9):
-        forms = [random_form(dim, rng) for _ in range(5)]
+        forms += [random_form(dim, rng) for _ in range(5)]
         for m in range(dim + 1):
             forms.append(direct_sum(random_form(m, rng), zero_form(dim - m)))
-        for q in forms:
-            g = from_form(q)
-            reference = _center_reference(g)
-            view = center(g)
-            assert len(view) == len(reference)
-            assert list(view) == reference
+    for q in forms:
+        g = from_form(q)
+        reference = sorted(central_elements(g.order, g.pmul))
+        view = center(g)
+        assert len(view) == len(reference), q.to_string()
+        assert list(view) == reference, q.to_string()
 
 
 def test_generalized_extraspecial_vs_bruteforce_frattini():
@@ -155,21 +135,16 @@ def test_generalized_extraspecial_vs_bruteforce_frattini():
         for q in all_forms(dim):
             g = from_form(q)
             elements = range(g.order)
-            # the commutator (xy)(x^-1 y^-1), as three applications of the
-            # packed law x * y = x ^ y ^ parity(R(x) & y) on tabulated
-            # cocycle rows R and inverses x^-1 = x ^ x^2
-            rows = [g.cocycle_row(x) for x in elements]
-            inv = [x ^ g.pmul(x, x) for x in elements]
-            comm = set()
-            for x in elements:
-                rx, ix = rows[x], inv[x]
-                rix = rows[ix]
-                for y in elements:
-                    iy = inv[y]
-                    xy = x ^ y ^ ((rx & y).bit_count() & 1)
-                    ixiy = ix ^ iy ^ ((rix & iy).bit_count() & 1)
-                    comm.add(xy ^ ixiy ^ ((rows[xy] & ixiy).bit_count() & 1))
-            sq = {g.pmul(x, x) for x in elements}
+            # the commutator (xy)(x^-1 y^-1), read off a table of pmul, with
+            # x^-1 = x ^ x^2 since x^2 is central in {0, 1}
+            table = [[g.pmul(x, y) for y in elements] for x in elements]
+            inv = [x ^ table[x][x] for x in elements]
+            comm = {
+                table[table[x][y]][table[inv[x]][inv[y]]]
+                for x in elements
+                for y in elements
+            }
+            sq = {table[x][x] for x in elements}
             phi = comm | sq
             assert frattini_order(g) == len(phi)
             central = set(center(g))
@@ -302,21 +277,6 @@ def test_models_match_reference_tables():
     assert not iso_oracle(TableGroup(Q8_TABLE), TableGroup(D8_TABLE))
 
 
-def _is_full_isomorphism(g1, g2, m) -> bool:
-    """Reference for the generator-lemma leaf: m is a bijection G1 -> G2 with
-    m(xy) = m(x) m(y) for every x and y, checked over all order^2 pairs."""
-    if len(m) != g1.order:
-        return False
-    f = [m[x] for x in range(g1.order)]
-    if len(set(f)) != g2.order:
-        return False
-    return all(
-        f[g1.pmul(x, y)] == g2.pmul(f[x], f[y])
-        for x in range(g1.order)
-        for y in range(g1.order)
-    )
-
-
 def test_isomorphism_passes_the_full_table_check():
     """The map the certificate returns is an isomorphism over every pair,
     for the reference tables against their models and for seeded same-class
@@ -328,13 +288,14 @@ def test_isomorphism_passes_the_full_table_check():
         for q, t in ((h_minus(), Q8_TABLE), (h_plus(), D8_TABLE), (q_one(), Z4_TABLE))
     ]
     for dim in range(2, 6):
-        for fc in _form_classes(dim):
-            pairs.append((_hidden_model(fc, rng), _hidden_model(fc, rng)))
+        for fc in form_classes(dim):
+            g1 = from_form(hidden_form(fc, rng))
+            pairs.append((g1, from_form(hidden_form(fc, rng))))
     for g1, g2 in pairs:
         for a, b in ((g1, g2), (g2, g1)):
             m = _isomorphism(a, b)
-            assert m is not None
-            assert _is_full_isomorphism(a, b, m)
+            assert m is not None and len(m) == a.order == b.order
+            assert is_isomorphism(m, a.order, a.pmul, b.pmul)
 
 
 def test_closure_rejects_conflicts_and_collisions():
@@ -416,7 +377,7 @@ def test_certificate_failure_raises_naming_both_forms(monkeypatch):
             return got, edit(cols) if len(sides) == 2 else cols
 
         monkeypatch.setattr(gexgroup, "_normal_basis", edited)
-        g1, g2 = _hidden_model(fc, rng), _hidden_model(fc, rng)
+        g1, g2 = from_form(hidden_form(fc, rng)), from_form(hidden_form(fc, rng))
         with pytest.raises(RuntimeError) as failure:
             iso_oracle(g1, g2)
         assert len(sides) == 2
@@ -438,19 +399,13 @@ def test_table_frattini_matches_form_level_order():
         for g in map(from_form, all_forms(dim))
     ]
     rng = random.Random(RNG_SEED + 7)
-    for fc in _form_classes(5):
+    for fc in form_classes(5):
         for _ in range(3):
-            g = _hidden_model(fc, rng)
-            elements = range(g.order)
-            brute = {
-                x
-                for x in elements
-                if all(g.pmul(x, y) == g.pmul(y, x) for y in elements)
-            }
-            groups.append((g, frattini_order(g), brute))
+            g = from_form(hidden_form(fc, rng))
+            groups.append((g, frattini_order(g), central_elements(g.order, g.pmul)))
     for t in (Q8_TABLE, D8_TABLE, Z4_TABLE):
-        brute = {x for x, row in enumerate(t) if row == tuple(r[x] for r in t)}
-        groups.append((TableGroup(t), 2, brute))
+        g = TableGroup(t)
+        groups.append((g, 2, central_elements(g.order, g.pmul)))
     for g, phi_order, center_set in groups:
         law = _Law(g)
         assert len(law.frattini) == phi_order
@@ -480,31 +435,14 @@ def test_table_frattini_matches_form_level_order():
         TableGroup(loop)
 
 
-def _form_classes(dim):
-    """Every FormClass of one dimension."""
-    classes = []
-    for m1 in range(dim // 2 + 1):
-        m2 = dim - 2 * m1
-        kinds = [Kind.ZERO] if m1 == 0 else [Kind.PLUS, Kind.MINUS]
-        classes += [FormClass(dim, m1, kind, m2) for kind in kinds]
-        if m2:
-            classes.append(FormClass(dim, m1, Kind.QONE, m2))
-    return classes
-
-
-def _hidden_model(fc, rng):
-    """The model of fc's standard form under a random change of basis."""
-    return from_form(change_basis(standard_form(fc), random_invertible(fc.dim, rng)))
-
-
 def test_iso_oracle_tail_classes():
     """Every class at dims 5-10 and three at dim 12 (the cap) are found
     isomorphic on seeded hidden bases and told apart from another class of
-    their dimension; among them the non-abelian classes with a radical,
-    whose same-class pairs once took from milliseconds to tens of seconds
-    depending on the hidden bases.  Every ordered pair of distinct classes
-    at orders 32 and 64 is told apart."""
+    their dimension; six classes at dims 4-5, the non-abelian ones with a
+    radical among them, on four pairs of hidden bases each.  Every ordered
+    pair of distinct classes at orders 32 and 64 is told apart."""
     rng = random.Random(RNG_SEED + 6)
+    model = lambda fc: from_form(hidden_form(fc, rng))
     tail = [
         FormClass(4, 1, Kind.PLUS, 2),
         FormClass(5, 1, Kind.PLUS, 3),
@@ -515,24 +453,23 @@ def test_iso_oracle_tail_classes():
     ]
     for fc in tail:
         for _ in range(4):
-            assert iso_oracle(_hidden_model(fc, rng), _hidden_model(fc, rng))
+            assert iso_oracle(model(fc), model(fc))
     for dim in (4, 5):
-        classes = _form_classes(dim)
+        classes = form_classes(dim)
         for fc1 in classes:
             for fc2 in classes:
                 if fc1 != fc2:
-                    g1, g2 = _hidden_model(fc1, rng), _hidden_model(fc2, rng)
-                    assert not iso_oracle(g1, g2), (fc1, fc2)
+                    assert not iso_oracle(model(fc1), model(fc2)), (fc1, fc2)
     for dim in range(5, 11):
-        classes = _form_classes(dim)
+        classes = form_classes(dim)
         for fc in classes:
             other = rng.choice([c for c in classes if c != fc])
-            g = _hidden_model(fc, rng)
-            assert iso_oracle(g, _hidden_model(fc, rng)), fc
-            assert not iso_oracle(g, _hidden_model(other, rng)), (fc, other)
+            g = model(fc)
+            assert iso_oracle(g, model(fc)), fc
+            assert not iso_oracle(g, model(other)), (fc, other)
     for kind in (Kind.PLUS, Kind.MINUS, Kind.QONE):
         fc = FormClass(12, 4, kind, 4)
-        assert iso_oracle(_hidden_model(fc, rng), _hidden_model(fc, rng)), fc
+        assert iso_oracle(model(fc), model(fc)), fc
 
 
 def test_classify_group_dictionary():

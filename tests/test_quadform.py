@@ -2,12 +2,13 @@ import random
 import sys
 import tracemalloc
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gexforms import quadform
+from gexforms import quadform, verify
 from gexforms.f2linalg import (
     BitMatrix,
     _row_image,
@@ -26,6 +27,7 @@ from gexforms.quadform import (
     change_basis,
     classify,
     direct_sum,
+    form_classes,
     h_minus,
     h_plus,
     is_isometric,
@@ -40,9 +42,8 @@ from gexforms.quadform import (
     zero_form,
 )
 
-from reference import matvec_bits
-
-RNG_SEED = 271828
+from reference import bilinear, matvec_bits, polarization
+from seeded import RNG_SEED
 
 
 def forms_strategy(max_dim=5):
@@ -85,14 +86,8 @@ def test_polar_is_alternating_and_symmetric():
 def test_polarization_identity(q, u, v):
     u &= (1 << q.dim) - 1
     v &= (1 << q.dim) - 1
-    b = q.eval_bits(u ^ v) ^ q.eval_bits(u) ^ q.eval_bits(v)
     # B_Q(u, v) = Q(u+v) + Q(u) + Q(v) agrees with the matrix form of B_Q
-    p = q.polar()
-    acc = 0
-    for i in range(q.dim):
-        if (u >> i) & 1:
-            acc ^= p.data[i]
-    assert b == (acc & v).bit_count() & 1
+    assert polarization(q, u, v) == bilinear(q.polar(), u, v)
 
 
 def test_serialization_round_trip():
@@ -200,12 +195,11 @@ def _change_basis_reference(q, t):
     for i in range(n):
         diag |= q.eval_bits(cols[i]) << i
         for j in range(i + 1, n):
-            u, v = cols[i], cols[j]
-            upper[i] |= (q.eval_bits(u ^ v) ^ q.eval_bits(u) ^ q.eval_bits(v)) << j
+            upper[i] |= polarization(q, cols[i], cols[j]) << j
     return QuadraticForm(n, diag, tuple(upper))
 
 
-def test_change_basis_matches_bilinear_loop():
+def test_change_basis_matches_its_definition():
     rng = random.Random(RNG_SEED + 9)
     cases = [(dim, 15) for dim in range(21)] + [(64, 1)]
     for dim, count in cases:
@@ -376,8 +370,10 @@ def _matvec_images(n):
 
 
 def _reference_oracle(q, q2):
-    """The old isometry_oracle loop, comparing q2(Tv) with q(v) vector by
-    vector for every T, with no value-count reject."""
+    """The rows of the first T of invertible_matrices(n), in its order, with
+    q2(Tv) = q(v) for every v, compared vector by vector, or None.  Every
+    such T is an isometry; isometry_oracle documents that it returns the
+    first one, and this copy pins that choice bit for bit."""
     n = q.dim
     if n == 0:
         return BitMatrix.identity(0).data
@@ -484,6 +480,12 @@ def test_describe_strings():
 
 
 def test_form_class_validation():
+    with pytest.raises(ValueError, match="nonnegative"):
+        FormClass(2, -1, Kind.QONE, 4)  # would describe itself as Q1 + 0^3
+    with pytest.raises(ValueError, match="nonnegative"):
+        FormClass(1, 1, Kind.PLUS, -1)
+    with pytest.raises(ValueError, match="out of range"):
+        FormClass(65, 0, Kind.ZERO, 65)  # above MAX_DIM
     with pytest.raises(ValueError):
         FormClass(3, 1, Kind.PLUS, 0)  # 2*m1 + m2 != dim
     with pytest.raises(ValueError):
@@ -525,9 +527,40 @@ def test_witness_checks_reject_a_dependent_column():
             change_basis(q, singular)
 
 
+def test_grid_is_the_set_form_class_accepts():
+    """At dims 0-12 form_classes lists, once each, every (m1, kind) that
+    FormClass accepts, and nothing else.  It gives 3,169 classes at dims
+    0-64 and raises ValueError outside them."""
+    for dim in range(13):
+        accepted = set()
+        for m1, kind in product(range(-1, dim + 2), Kind):
+            try:
+                accepted.add(FormClass(dim, m1, kind, dim - 2 * m1))
+            except ValueError:
+                pass
+        grid = form_classes(dim)
+        assert len(grid) == len(accepted) and set(grid) == accepted, dim
+    assert sum(len(form_classes(dim)) for dim in range(65)) == 3169
+    for dim in (-1, 65):
+        with pytest.raises(ValueError, match="out of range"):
+            form_classes(dim)
+
+
 def test_class_counts_per_dimension():
-    # dim l holds: Zero, Plus/Minus for each m1 >= 1, QOne for each m1 with
-    # m2 >= 1 -- and classify must hit each class.
-    for dim, expected in ((0, 1), (1, 2), (2, 4), (3, 5), (4, 7)):
+    """classify hits every class of form_classes at dims 0-4, and no other."""
+    for dim in range(5):
         seen = {classify(q) for q in all_forms(dim)}
-        assert len(seen) == expected
+        assert len(form_classes(dim)) == len(seen)
+        assert set(form_classes(dim)) == seen
+
+
+def test_classification_check_names_a_class_missing_from_the_grid(monkeypatch):
+    """check_classification_complete compares the classes classify hits at
+    each dim with form_classes: a grid that lacks H+ + Q1 fails at dim 3."""
+    grid, dropped = form_classes, FormClass(3, 1, Kind.QONE, 1)
+    monkeypatch.setattr(
+        quadform, "form_classes", lambda dim: [c for c in grid(dim) if c != dropped]
+    )
+    ok, detail = verify.check_classification_complete()
+    assert not ok
+    assert detail == "classify and form_classes differ at dim 3: H+ + Q1"
