@@ -40,13 +40,15 @@ def _span(rows) -> list[int]:
     return table
 
 
-def _block(w: int) -> tuple[str, int, int, tuple[tuple[int, int], ...]]:
-    """(array typecode, w, slot ones, delta swaps) for a w x w bit block.
+def _block(w: int) -> tuple[str, int, int, tuple[tuple[int, int], ...], int]:
+    """(array typecode, w, slot ones, delta swaps, identity) for a w x w bit
+    block.
 
     Row i of the block sits at bits i*w .. i*w + w - 1 of one int; the slot
-    ones mask holds bit 0 of every row.  The swap with half-width s exchanges
-    bit (i, j) with bit (i + s, j - s) wherever bit s of i is clear and bit s
-    of j is set: positions p and p + s(w - 1).
+    ones mask holds bit 0 of every row, and the identity block bit i of row
+    i.  The swap with half-width s exchanges bit (i, j) with bit
+    (i + s, j - s) wherever bit s of i is clear and bit s of j is set:
+    positions p and p + s(w - 1).
     """
     tc = next(c for c in "BHILQ" if array(c).itemsize * 8 == w)
     steps = []
@@ -57,7 +59,8 @@ def _block(w: int) -> tuple[str, int, int, tuple[tuple[int, int], ...]]:
         steps.append((s * (w - 1), mask))
         s //= 2
     ones = sum(1 << (i * w) for i in range(w))
-    return tc, w, ones, tuple(steps)
+    eye = sum(1 << (i * (w + 1)) for i in range(w))
+    return tc, w, ones, tuple(steps), eye
 
 
 _BLOCKS = {w: _block(w) for w in (8, 16, 32, 64)}
@@ -77,19 +80,25 @@ def _pack(rows, tc: str) -> int:
     return int.from_bytes(a, "little")
 
 
+def _transpose(x: int, steps) -> int:
+    """The transpose of the w x w block packed in x, by the delta swaps of
+    _block(w) (Hacker's Delight, section 7-3): O(log w) operations on
+    w^2-bit ints."""
+    for d, m in steps:
+        t = (x ^ (x >> d)) & m
+        x ^= t ^ (t << d)
+    return x
+
+
 def _transpose_rows(rows, cols: int) -> list[int]:
     """The cols packed columns of the matrix with the given packed rows.
 
     Requires every row below 2^cols and at most 64 rows and 64 columns.
     The rows are packed into one int as a w x w block (w = 8, 16, 32 or 64,
-    the smallest that holds both sizes), which log2(w) delta swaps transpose
-    (Hacker's Delight, section 7-3): O(log w) operations on w^2-bit ints.
+    the smallest that holds both sizes), which one _transpose turns over.
     """
-    tc, w, _, steps = _BLOCK_FOR[max(len(rows), cols)]
-    x = _pack(rows, tc)
-    for d, m in steps:
-        t = (x ^ (x >> d)) & m
-        x ^= t ^ (t << d)
+    tc, w, _, steps, _ = _BLOCK_FOR[max(len(rows), cols)]
+    x = _transpose(_pack(rows, tc), steps)
     a = array(tc, x.to_bytes(w * w // 8, "little"))
     if _SWAP:
         a.byteswap()
@@ -150,7 +159,7 @@ def _echelon(m: BitMatrix) -> list[tuple[int, int]]:
     the loop stops when x is zero; taking the highest row lets x shrink as
     its top rows go.  O(cols) operations on ints of at most w^2 bits.
     """
-    tc, w, ones, _ = _BLOCK_FOR[max(m.rows, m.cols)]
+    tc, w, ones, _, _ = _BLOCK_FOR[max(m.rows, m.cols)]
     x = _pack(m.data, tc)
     mask = (1 << w) - 1
     pivots = []
@@ -204,10 +213,10 @@ def symplectic_basis(q) -> tuple[list[tuple[int, int]], list[int], int]:
     pairs plus radical.
 
     q is a quadform.QuadraticForm, duck-typed (quadform imports this module):
-    B_Q's rows come from q.polar() and Q(e_i) from bit i of q.diag.  The
-    form's constructor holds the input contract, so B_Q is alternating and
-    nothing is checked here.  Any alternating B is B_Q of
-    QuadraticForm(n, 0, strict upper part of B).
+    B_Q = U + U^T for the strictly upper-triangular U = q.upper, and Q(e_i)
+    is bit i of q.diag.  The form's constructor holds the input contract, so
+    B_Q is alternating and nothing is checked here.  Any alternating B is B_Q
+    of QuadraticForm(n, 0, strict upper part of B).
 
     Returns (pairs, radical, values) as packed vectors of dimension q.dim,
     where each pair (a_i, b_i) satisfies B(a_i, b_i) = 1, B vanishes across
@@ -220,63 +229,67 @@ def symplectic_basis(q) -> tuple[list[tuple[int, int]], list[int], int]:
     start index i; ``alive`` is the mask of the indices still working.  Each
     one travels with its image B u_i, so B(u_i, u_j) is bit j of that image
     for alive j (u_j - e_j is a sum of earlier pair vectors, orthogonal to
-    u_i).  The partner of v is the lowest bit of its image & alive, and the
-    vectors to update are whole masks, so no test needs a popcount.  Q on the
+    u_i).  The partner of v is the lowest bit of its image & alive.  Q on the
     working vectors is one mask, carried by Q(u + v) = Q(u) + Q(v) + B(u, v).
-    Costs one transpose, the one in ``polar``, and one XOR per updated
-    vector, O(n^2) in all: of the alive u, mask am (B(u, w) = 1 only) takes
-    v, bm (B(u, v) = 1 only) takes w, and both (the two at once) takes v + w.
+
+    Word-parallel, as in _echelon: the images are the rows of one packed
+    square block x (8, 16, 32 or 64 bits wide), B_Q itself at the start (the
+    packed U ORed with its one _transpose), and the u_i the rows of a second
+    block that starts as the identity.  A pair step (v, w) is one rank-two
+    update of each block: every row with bit w takes B u_v and every row
+    with bit v takes B u_w, two carry-free products.  Rows no longer alive
+    take garbage that nothing reads, and v is the lowest alive index, so
+    both blocks drop the rows below v and shrink as the decomposition goes
+    on.  Costs one transpose and O(n) operations on ints of at most 64^2
+    bits.
     """
     n = q.dim
-    rows = q.polar().data
-
-    # work[i] packs B u_i in its low n bits and u_i above them, so a single
-    # XOR updates both; qm holds Q(u_i) at bit i.
-    work = [r | (1 << (n + i)) for i, r in enumerate(rows)]
+    tc, width, ones, steps, eye = _BLOCK_FOR[n]
+    upper = _pack(q.upper, tc)
+    x = upper | _transpose(upper, steps)
+    u = eye
+    mask = (1 << width) - 1
     alive = (1 << n) - 1
-    qm = q.diag
+    qm = q.diag  # Q(u_i) at bit i
     pairs: list[tuple[int, int]] = []
     radical: list[int] = []
     pair_q = radical_q = 0
+    base = 0  # the index of the row in slot 0 of both blocks
     while alive:
         low = alive & -alive
         alive ^= low
         v = low.bit_length() - 1
-        wv = work[v]
-        partners = wv & alive
+        drop = (v - base) * width
+        x >>= drop
+        u >>= drop
+        base = v
+        bv = x & mask
+        partners = bv & alive
         if not partners:
             radical_q |= (qm >> v & 1) << len(radical)
-            radical.append(wv >> n)
+            radical.append(u & mask)
             continue
         low = partners & -partners
         alive ^= low
         w = low.bit_length() - 1
-        ww = work[w]
+        slot = (w - v) * width
+        bw = x >> slot & mask
+        uv, uw = u & mask, u >> slot & mask
         qv, qw = qm >> v & 1, qm >> w & 1
         pair_q |= (qv | qw << 1) << (2 * len(pairs))
-        pairs.append((wv >> n, ww >> n))
+        pairs.append((uv, uw))
+        if not alive:
+            break
         # u gains v where B(u, w) = 1 (am) and w where B(u, v) = 1 (bm), so
         # Q(u) gains Q(v) on am, Q(w) on bm, and B(u, v) + B(u, w) + B(v, w)
-        # = 1 on both = am & bm, whose rows take v + w in one XOR.
-        am = ww & alive
+        # = 1 on both.
+        am = bw & alive
         bm = partners ^ low
-        both = am & bm
-        qm ^= (am if qv else 0) ^ (bm if qw else 0) ^ both
-        am ^= both
-        bm ^= both
-        while am:
-            i = am.bit_length() - 1
-            work[i] ^= wv
-            am ^= 1 << i
-        while bm:
-            i = bm.bit_length() - 1
-            work[i] ^= ww
-            bm ^= 1 << i
-        vw = wv ^ ww
-        while both:
-            i = both.bit_length() - 1
-            work[i] ^= vw
-            both ^= 1 << i
+        qm ^= (am if qv else 0) ^ (bm if qw else 0) ^ (am & bm)
+        sel_w = x >> w & ones
+        sel_v = x >> v & ones
+        x ^= sel_w * bv ^ sel_v * bw
+        u ^= sel_w * uv ^ sel_v * uw
     return pairs, radical, pair_q | radical_q << (2 * len(pairs))
 
 

@@ -8,8 +8,9 @@ GF(2)^l is isometric to exactly one of
 
 with 2*m1 + m2 = l, plus the zero form; ``form_classes`` lists them per
 dimension.  ``_normal_basis`` decides which from one symplectic
-decomposition, and is the one place that lays out the standard basis: H-
-first, then H+ blocks, then Q1, then zeros.  ``classify`` returns its class
+decomposition, a rank-two update of a packed B_Q block per hyperbolic pair,
+and is the one place that lays out the standard basis: H- first, then H+
+blocks, then Q1, then zeros.  ``classify`` returns its class
 and ``normal_form_witness`` its change of basis.
 """
 
@@ -99,8 +100,8 @@ class QuadraticForm:
         """The associated alternating bilinear form B_Q as a symmetric matrix.
 
         B_Q = U + U^T for the strictly upper-triangular U = ``upper``; the
-        transpose, the only one of a symplectic decomposition, is log2(w)
-        delta swaps on one packed w x w block, w <= 64.
+        transpose is log2(w) delta swaps on one packed w x w block, w <= 64.
+        symplectic_basis builds B_Q in its own packed block and calls none.
         """
         n = self.dim
         lower = _transpose_rows(self.upper, n)
@@ -282,7 +283,7 @@ def _normal_basis(q: QuadraticForm) -> tuple[FormClass, list[int]]:
     The one place that knows the standard layout: H- first, then the H+
     blocks, then Q1, then zeros.  One ``symplectic_basis`` call gives the
     pairs, the radical and Q on each of them, so no Q is evaluated: one
-    transpose (in ``polar``) and O(n^2) word operations at dim n.
+    transpose and O(n) operations on ints of at most 64^2 bits at dim n.
     - A pair (a, b) with Q(a) = Q(b) = 1 spans an H- plane and is kept; every
       other pair is rewritten to an H+ pair (a', b'), Q(a') = Q(b') = 0.
     - Two H- planes (a1, b1), (a2, b2) span H+ (+) H+, with the pairs

@@ -74,6 +74,8 @@ def test_check_basis_rejections():
     assert not check_basis(hm, (1, 1))
     # wrong count
     assert not check_basis(hm, (1,))
+    # dim 0: the empty basis has no vector with a partner
+    assert not check_basis(zero_form(0), ())
     # bits beyond dim
     assert not check_basis(hm, (0b01, 0b100))
     # Q = 0 on a basis vector (e1 for H+)
@@ -179,14 +181,15 @@ def _theorem_admissible(fc):
 def test_user_path_makes_the_decompositions_and_transposes_of_its_docstrings(
     monkeypatch,
 ):
-    """The cost lines of the symplectic_basis, QuadraticForm.polar and
-    _normal_basis docstrings ("one transpose, the one in polar"), with one
-    transpose in each BitMatrix.from_cols and one in admissible_witness: an
-    admissible form through classify, normal_form_witness, is_admissible and
-    admissible_witness makes 6 decompositions (one per classify, two per
-    admissible_witness) and 9 transposes (6 in polar, 2 in from_cols and 1
-    in admissible_witness).  Each module imports the two helpers by name, so
-    each binding is counted."""
+    """The cost lines of the symplectic_basis and _normal_basis docstrings
+    ("one transpose"), with one transpose in each BitMatrix.from_cols and
+    one in admissible_witness: an admissible form through classify,
+    normal_form_witness, is_admissible and admissible_witness makes 6
+    decompositions (one per classify, two per admissible_witness) and 9
+    transposes of a packed block (6 in the decompositions, 2 in from_cols
+    and 1 in admissible_witness).  Every transpose goes through
+    f2linalg._transpose, and each module imports symplectic_basis by name,
+    so each binding is counted."""
     rng = random.Random(RNG_SEED + 9)
     forms = [
         hidden_form(fc, rng)
@@ -205,18 +208,18 @@ def test_user_path_makes_the_decompositions_and_transposes_of_its_docstrings(
 
         return wrapper
 
-    for name in ("symplectic_basis", "_transpose_rows"):
+    for name in ("symplectic_basis", "_transpose"):
         wrapped = counting(name, getattr(f2linalg, name))
         for module in (f2linalg, quadform, admissible):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapped)
     for q in forms:
-        counts.update(symplectic_basis=0, _transpose_rows=0)
+        counts.update(symplectic_basis=0, _transpose=0)
         classify(q)
         normal_form_witness(q)
         assert is_admissible(q)
         admissible_witness(q)
-        assert counts == {"symplectic_basis": 6, "_transpose_rows": 9}, q.to_string()
+        assert counts == {"symplectic_basis": 6, "_transpose": 9}, q.to_string()
 
 
 def test_every_class_behind_a_hidden_basis():

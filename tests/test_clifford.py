@@ -122,6 +122,10 @@ def test_g0_form_class():
                 assert polarization(q, 1 << i, 1 << j) == 1
     assert classify(g0_form(1)) == FormClass(1, 0, Kind.QONE, 1)
     assert classify(g0_form(2)) == FormClass(2, 1, Kind.MINUS, 0)
+    assert g0_form(16).dim == 16
+    for l in (0, 17):
+        with pytest.raises(ValueError, match=r"generator count must be in \[1, 16\]"):
+            g0_form(l)
 
 
 def word_element(g, word):

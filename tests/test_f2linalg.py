@@ -202,6 +202,8 @@ def test_invertible_matrices_in_lexicographic_column_order():
         expected = [m for m in candidates if rank(m) == n]
         assert list(invertible_matrices(n)) == expected, n
     assert len(invertible_matrices(4)) == 20160
+    with pytest.raises(ValueError, match="capped at n = 4"):
+        invertible_matrices(5)
 
 
 def test_symplectic_zero_form():
@@ -278,7 +280,11 @@ def _reference_corpus():
     radical-heavy behind a hidden basis; then, at dims 8, 15, 32, 63 and 64,
     standard Plus, Minus and QOne forms with the smallest radical the dim
     allows behind a hidden basis: admissible forms of the shape that the
-    forms-pipeline benchmark times."""
+    forms-pipeline benchmark times.  Last, three forms at each side of the
+    8-, 16-, 32- and 64-bit blocks: the all-ones polar with Q = 1 on the
+    basis, where every alive row takes both products of a pair step; the
+    anti-diagonal polar with Q alternating on the basis, where the partner
+    of v is always the top alive row; and the zero form."""
     rng = random.Random(17)
     forms = []
     for d in range(65):
@@ -293,6 +299,15 @@ def _reference_corpus():
             m2 = d % 2 or (2 if kind is Kind.QONE else 0)
             fc = FormClass(d, (d - m2) // 2, kind, m2)
             forms.append(hidden_form(fc, rng))
+    for n in (1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64):
+        full = (1 << n) - 1
+        all_ones = tuple(full ^ ((1 << (i + 1)) - 1) for i in range(n))
+        anti = tuple(1 << (n - 1 - i) if n - 1 - i > i else 0 for i in range(n))
+        forms += [
+            QuadraticForm(n, full, all_ones),
+            QuadraticForm(n, full // 3, anti),  # Q(e_i) = 1 at even i
+            zero_form(n),
+        ]
     return forms
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -337,6 +338,37 @@ def test_iso_oracle_order_cap():
     with pytest.raises(ValueError):
         iso_oracle(g16, g16)
     assert not iso_oracle(g16, from_form(zero_form(4)))
+
+
+def test_iso_oracle_tells_equal_censuses_apart_by_frattini():
+    """Q8 x Z2 and Z4 x| Z4 (x^4 = y^4 = 1, y x y^-1 = x^-1) both have order
+    16, 3 involutions, 12 elements of order 4 and a center of 4, but |Phi| is
+    2 against 4: the Frattini census says False before the |Phi| <= 2 check
+    that would refuse Z4 x| Z4 against itself."""
+    q8_z2 = TableGroup(
+        tuple(
+            tuple(2 * Q8_TABLE[x >> 1][y >> 1] + ((x ^ y) & 1) for y in range(16))
+            for x in range(16)
+        )
+    )
+    # x^i y^j at index i + 4j, and y^j x^k = x^((-1)^j k) y^j.
+    z4_z4 = TableGroup(
+        tuple(
+            tuple(
+                (i + (-1) ** j * k) % 4 + 4 * ((j + l) % 4)
+                for l in range(4)
+                for k in range(4)
+            )
+            for j in range(4)
+            for i in range(4)
+        )
+    )
+    a, b = _Law(q8_z2), _Law(z4_z4)
+    assert Counter(a.element_orders) == Counter(b.element_orders)
+    assert sum(a.central) == sum(b.central) == 4
+    assert (len(a.frattini), len(b.frattini)) == (2, 4)
+    assert not iso_oracle(q8_z2, z4_z4)
+    assert not iso_oracle(z4_z4, q8_z2)
 
 
 def test_iso_oracle_refuses_groups_outside_the_family():

@@ -145,6 +145,9 @@ def test_form_validation():
         QuadraticForm(2, 0, (0b01, 0))  # upper bit at or below diagonal
     with pytest.raises(ValueError):
         QuadraticForm(2, 0, (0,))  # row count mismatch
+    for dim in (65, -1):
+        with pytest.raises(ValueError, match=f"dimension {dim} out of range"):
+            QuadraticForm(dim, 0, (0,) * max(dim, 0))
 
 
 def test_classify_building_blocks():
@@ -329,6 +332,9 @@ def test_direct_sum_evaluates_blockwise():
             u = rng.getrandbits(3)
             v = rng.getrandbits(4)
             assert q.eval_bits(u | (v << 3)) == q1.eval_bits(u) ^ q2.eval_bits(v)
+    assert direct_sum(zero_form(63), q_one()).dim == 64
+    with pytest.raises(ValueError, match="combined dimension exceeds cap"):
+        direct_sum(zero_form(64), q_one())
 
 
 def test_sum_forms_associates():
