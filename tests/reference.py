@@ -54,6 +54,24 @@ def central_elements(order: int, mul) -> set[int]:
     return center
 
 
+def generated(mul, identity: int, gens) -> set[int]:
+    """The subgroup gens generate: every x * g reached from the identity by
+    right multiplication with a generator, breadth first.  In a finite group
+    the inverse of g is a power of g, so no inverses are needed."""
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        layer = []
+        for x in frontier:
+            for g in gens:
+                y = mul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    layer.append(y)
+        frontier = layer
+    return seen
+
+
 def is_isomorphism(images, order: int, mul_a, mul_b) -> bool:
     """x -> images[x], x = 0 .. order - 1, is injective and carries mul_a
     onto mul_b: images[mul_a(x, y)] = mul_b(images[x], images[y]) for every

@@ -88,15 +88,6 @@ def test_check_basis_rejections():
     assert not check_basis(q, vs)
 
 
-def test_witness_none_iff_inadmissible_small():
-    for dim in range(1, 5):
-        for q in all_forms(dim):
-            w = admissible_witness(q)
-            assert (w is not None) == is_admissible(q)
-            if w is not None:
-                assert check_basis(q, w)
-
-
 def test_witness_random_larger_dims():
     rng = random.Random(RNG_SEED + 1)
     found = 0
@@ -283,15 +274,6 @@ def test_witness_each_admissible_class_shape():
     for q in shapes:
         w = admissible_witness(q)
         assert w is not None and check_basis(q, w)
-
-
-def test_bruteforce_agrees_exhaustively_small():
-    for dim in range(1, 5):
-        for q in all_forms(dim):
-            basis = is_admissible_bruteforce(q)
-            assert (basis is not None) == is_admissible(q)
-            if basis is not None:
-                assert check_basis(q, basis)
 
 
 def test_bruteforce_random_at_cap():

@@ -280,11 +280,6 @@ def test_verify_psi_rejects_non_additive_mask_by_the_premise(monkeypatch):
     assert not psi_all_pairs(5)
 
 
-def test_verify_psi_exhaustive_small():
-    for n in range(2, 8):
-        assert verify_psi(n)
-
-
 def test_verify_psi_proves_max_n_and_enforces_bounds():
     # The proof at every n = 2..MAX_N runs in the acceptance suite's
     # presentation check; here only the bound and its enforcement.

@@ -15,8 +15,8 @@ from gexforms.gexgroup import (
     TableGroup,
     Z4_TABLE,
     _Law,
+    _certify,
     _isomorphism,
-    _try_generator_images,
     center,
     central_product,
     classify_group,
@@ -44,7 +44,7 @@ from gexforms.quadform import (
     zero_form,
 )
 
-from reference import central_elements, cocycle_law, is_isomorphism
+from reference import central_elements, cocycle_law, generated, is_isomorphism
 from seeded import RNG_SEED, hidden_form
 
 
@@ -279,10 +279,24 @@ def test_models_match_reference_tables():
 
 
 def test_isomorphism_passes_the_full_table_check():
-    """The map the certificate returns is an isomorphism over every pair,
-    for the reference tables against their models and for seeded same-class
-    pairs at orders 8-64; the oracle itself checks no pair beyond its
-    closure."""
+    """The lifts the certificate returns define an isomorphism over every
+    pair: z^eps y^v -> z'^eps y'^v, built word by word from the two lift
+    tuples with z, z' the generators of Phi (the identity when Phi is
+    trivial), for the reference tables against their models and for seeded
+    same-class pairs at orders 8-64; the oracle itself builds no map."""
+
+    def words(g, ys):
+        law = _Law(g)
+        out = []
+        for x0 in (law.identity, *(law.frattini - {law.identity})):
+            for v in range(1 << len(ys)):
+                x = x0
+                for i, y in enumerate(ys):
+                    if v >> i & 1:
+                        x = g.pmul(x, y)
+                out.append(x)
+        return out
+
     rng = random.Random(RNG_SEED + 5)
     pairs = [
         (from_form(q), TableGroup(t))
@@ -294,32 +308,42 @@ def test_isomorphism_passes_the_full_table_check():
             pairs.append((g1, from_form(hidden_form(fc, rng))))
     for g1, g2 in pairs:
         for a, b in ((g1, g2), (g2, g1)):
-            m = _isomorphism(a, b)
-            assert m is not None and len(m) == a.order == b.order
+            ys1, ys2 = _isomorphism(a, b)
+            m = dict(zip(words(a, ys1), words(b, ys2)))
+            assert len(m) == a.order == b.order
             assert is_isomorphism(m, a.order, a.pmul, b.pmul)
 
 
-def test_closure_rejects_conflicts_and_collisions():
-    """The closure drops a map that two words for one element send to
-    different images, and one that sends two elements to one image."""
+def test_certificate_refuses_unequal_relations_and_dependent_lifts():
+    """The certificate refuses lifts whose forms differ, and lifts that read
+    equal forms but are dependent modulo Phi, so generate too little."""
     # Z4 x Z2 with a and ac of order 4, a^2 = (ac)^2 the central involution.
     z4z2 = _Law(from_form(direct_sum(q_one(), zero_form(1))))
     q8 = _Law(TableGroup(Q8_TABLE))
     a, ac = 2, 6
     i, j = 2, 4
+    # Columns over the basis of G/Phi: a = e1 and ac = e1 + e2; i = e1, j = e2.
+    assert z4z2.basis == q8.basis == (2, 4)
+    cols_a_ac, cols_i_j, cols_i_i = (0b01, 0b11), (0b01, 0b10), (0b01, 0b01)
     # a and ac commute with a product of order 2; i and j do not, and ij
     # has order 4.
     assert z4z2.pmul(a, ac) == z4z2.pmul(ac, a)
     assert z4z2.element_orders[z4z2.pmul(a, ac)] == 2
     assert q8.pmul(i, j) != q8.pmul(j, i)
     assert q8.element_orders[q8.pmul(i, j)] == 4
-    assert len(_try_generator_images(z4z2, q8, (a,), (i,))) == 4
-    # Squares and orders match, but a * ac = ac * a while ij = k != -k = ji.
-    assert _try_generator_images(z4z2, q8, (a, ac), (i, j)) is None
-    # Both to i is a homomorphism with kernel <c>: no conflict, a collision.
-    assert _try_generator_images(z4z2, q8, (a, ac), (i, i)) is None
-    assert len(_try_generator_images(z4z2, z4z2, (a,), (a,))) == 4
-    assert len(_try_generator_images(z4z2, z4z2, (a, ac), (a, ac))) == 8
+    # Squares and orders match and both column sets have full rank, but
+    # a * ac = ac * a while ij = k != -k = ji: the forms differ.
+    assert _certify(z4z2, q8, cols_a_ac, cols_i_j) is None
+    # Both to i reads the same form as (a, ac), since i commutes with
+    # itself, but i, i span one dimension of two: the rank check refuses.
+    assert gexgroup._read_form(q8.pmul, [i, i], 0) == gexgroup._read_form(
+        z4z2.pmul, [a, ac], 0
+    )
+    assert _certify(z4z2, q8, cols_a_ac, cols_i_i) is None
+    assert _certify(z4z2, z4z2, cols_a_ac, cols_a_ac) == ([a, ac], [a, ac])
+    assert _certify(q8, q8, cols_i_j, cols_i_j) == ([i, j], [i, j])
+    # A basis of GF(2)^2 needs two columns: one is refused.
+    assert _certify(q8, q8, (0b01,), (0b01,)) is None
 
 
 def test_q8q8_is_d8d8_but_q8_is_not_d8():
@@ -330,14 +354,22 @@ def test_q8q8_is_d8d8_but_q8_is_not_d8():
 
 
 def test_iso_oracle_order_cap():
-    big = from_form(zero_form(13))
-    with pytest.raises(ValueError):
-        iso_oracle(big, big)
-    # The cap and the order comparison come before any invariant is read.
-    g16 = from_form(zero_form(16))
-    with pytest.raises(ValueError):
-        iso_oracle(g16, g16)
+    """The cap is the order of the largest group model, and it and the order
+    comparison come before any invariant is read: a group of twice that
+    order whose law raises on every use is refused with ValueError."""
+    g16 = from_form(zero_form(FROM_FORM_DIM_CAP))
+    assert gexgroup.ISO_ORACLE_ORDER_CAP == g16.order
+
+    class Unread:
+        order = 2 * gexgroup.ISO_ORACLE_ORDER_CAP
+
+        def pmul(self, x, y):
+            raise AssertionError("the law was read")
+
+    with pytest.raises(ValueError, match="capped at order"):
+        iso_oracle(Unread(), Unread())
     assert not iso_oracle(g16, from_form(zero_form(4)))
+    assert not iso_oracle(Unread(), g16)
 
 
 def test_iso_oracle_tells_equal_censuses_apart_by_frattini():
@@ -385,13 +417,12 @@ def test_iso_oracle_refuses_groups_outside_the_family():
 def test_certificate_failure_raises_naming_both_forms(monkeypatch):
     """A certificate that fails on equal censuses is a defect, not a False.
     H- + H+ + 0 has the witness columns a-, b-, a+, b+, r.  Swapping b- and
-    b+ on the second side changes two squares, so the closure meets a
-    conflict; the map it would build without that test is injective.  H+ +
-    0^3 has the columns a, b, r1, r2, r3, and repeating r3 in place of r2
-    keeps every relation, so the map is a homomorphism with a kernel and
-    the closure meets a collision.  Either way iso_oracle raises
-    RuntimeError naming both forms it read, which for a model are the forms
-    of its lifts."""
+    b+ on the second side changes two squares, so the forms read over the
+    lifts differ, although the columns keep full rank.  H+ + 0^3 has the
+    columns a, b, r1, r2, r3, and repeating r3 in place of r2 keeps every
+    relation, so only the rank check refuses the lifts, which generate a
+    proper subgroup.  Either way iso_oracle raises RuntimeError naming both
+    forms it read, which for a model are the forms of its lifts."""
     normal_basis = gexgroup._normal_basis
     rng = random.Random(RNG_SEED + 9)
     swap = lambda cols: [cols[0], cols[3], cols[2], cols[1], cols[4]]
@@ -420,7 +451,8 @@ def test_certificate_failure_raises_naming_both_forms(monkeypatch):
 def test_table_frattini_matches_form_level_order():
     """|Phi| read through the law, as the subgroup the squares generate, is
     the form-level frattini_order; the greedy basis modulo Phi has
-    log2(order / |Phi|) generators and its closure is the whole group; the
+    log2(order / |Phi|) generators, and ``reference.generated`` finds that
+    they generate the whole group; the
     elements that commute with the basis, found one coset at a time, are
     the center.  Every form of dim <= 4, and seeded hidden bases of every
     class at dim 5 (order 64, Z2^6 and Z4 x Z2^4 among them) against the
@@ -442,8 +474,7 @@ def test_table_frattini_matches_form_level_order():
         law = _Law(g)
         assert len(law.frattini) == phi_order
         assert 1 << len(law.basis) == g.order // phi_order
-        span = _try_generator_images(law, law, law.basis, law.basis)
-        assert len(span) == g.order
+        assert len(generated(g.pmul, law.identity, law.basis)) == g.order
         assert {x for x in range(g.order) if law.central[x]} == center_set
     # The basis generates only in a 2-group, so other orders are refused,
     # the empty table among them; a table that is not a group is refused too.
@@ -468,9 +499,10 @@ def test_table_frattini_matches_form_level_order():
 
 
 def test_iso_oracle_tail_classes():
-    """Every class at dims 5-10 and three at dim 12 (the cap) are found
-    isomorphic on seeded hidden bases and told apart from another class of
-    their dimension; six classes at dims 4-5, the non-abelian ones with a
+    """Every class at dims 5-10, three at dim 12 and three at dim 16 (the
+    cap) are found isomorphic on seeded hidden bases, every class at dims
+    5-10 is told apart from another class of its dimension, and so is one
+    pair at dim 16; six classes at dims 4-5, the non-abelian ones with a
     radical among them, on four pairs of hidden bases each.  Every ordered
     pair of distinct classes at orders 32 and 64 is told apart."""
     rng = random.Random(RNG_SEED + 6)
@@ -502,6 +534,13 @@ def test_iso_oracle_tail_classes():
     for kind in (Kind.PLUS, Kind.MINUS, Kind.QONE):
         fc = FormClass(12, 4, kind, 4)
         assert iso_oracle(model(fc), model(fc)), fc
+    # The cap: dim 16, order 2^17.
+    for kind in (Kind.PLUS, Kind.MINUS, Kind.QONE):
+        fc = FormClass(16, 6, kind, 4)
+        assert iso_oracle(model(fc), model(fc)), fc
+    assert not iso_oracle(
+        model(FormClass(16, 6, Kind.PLUS, 4)), model(FormClass(16, 6, Kind.MINUS, 4))
+    )
 
 
 def test_classify_group_dictionary():
