@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from gexforms import gexgroup, verify
-from gexforms.f2linalg import _parity
+from gexforms.f2linalg import _parity, rank
 from gexforms.gexgroup import (
     FROM_FORM_DIM_CAP,
     BaseKind,
@@ -192,14 +192,15 @@ def test_q_from_group_makes_dim_squared_law_applications(monkeypatch):
         assert calls == dim * dim, dim
 
 
-def test_central_makes_the_law_applications_of_its_docstring(monkeypatch):
-    """The _Law.central docstring: "one commutation test per coset of the
-    part of the center found so far, plus one law application per flagged
-    element".  On an abelian group of order 64 every test passes, so Z0
-    doubles six times: Z2^6 makes 6 tests of 2 x 6 applications and
-    Z4 x Z2^4 (basis of 5 modulo Phi) 6 tests of 2 x 5, plus 63 flags each.
-    On H+^2 (order 32, center 2) each non-central coset stops at its first
-    generator that does not commute."""
+def test_iso_oracle_makes_the_law_applications_of_its_docstring(monkeypatch):
+    """The iso_oracle docstring, per side: |G| law applications for the
+    squares, |Phi| |G^2| for the Frattini closure, |G| - |Phi| for the basis,
+    n^2 for the form read over it, one per set bit of the witness columns
+    for the lifts and n^2 for the form read over the lifts.  Each form below
+    has its normal form as its witness, the identity columns, so the lifts
+    take n applications.  Q1 + 0^4: 64 + 2 x 2 + 62 + 25 + 5 + 25 = 185;
+    0^5: 64 + 1 + 63 + 36 + 6 + 36 = 206; H+^2: 32 + 2 x 2 + 30 + 16 + 4
+    + 16 = 102; two models of each form, so twice that."""
     calls = 0
     pmul = GexGroup.pmul
 
@@ -210,15 +211,13 @@ def test_central_makes_the_law_applications_of_its_docstring(monkeypatch):
 
     monkeypatch.setattr(GexGroup, "pmul", counting_pmul)
     cases = [
-        (direct_sum(q_one(), zero_form(4)), 123),
-        (zero_form(5), 135),
-        (direct_sum(h_plus(), h_plus()), 91),
+        (direct_sum(q_one(), zero_form(4)), 370),
+        (zero_form(5), 412),
+        (direct_sum(h_plus(), h_plus()), 204),
     ]
     for q, expected in cases:
-        law = _Law(from_form(q))
-        law.basis  # built first: its law applications are not central's
         calls = 0
-        assert sum(law.central) == len(center(from_form(q)))
+        assert iso_oracle(from_form(q), from_form(q))
         assert calls == expected, q
 
 
@@ -372,6 +371,23 @@ def test_iso_oracle_order_cap():
     assert not iso_oracle(Unread(), g16)
 
 
+def z4_by_z4(sign: int) -> TableGroup:
+    """<x, y | x^4 = y^4 = 1, y x y^-1 = x^sign>: Z4 x Z4 for sign 1 and
+    Z4 x| Z4 for sign -1, with x^i y^j at index i + 4j, and y^j x^k =
+    x^(sign^j k) y^j."""
+    return TableGroup(
+        tuple(
+            tuple(
+                (i + sign**j * k) % 4 + 4 * ((j + l) % 4)
+                for l in range(4)
+                for k in range(4)
+            )
+            for j in range(4)
+            for i in range(4)
+        )
+    )
+
+
 def test_iso_oracle_tells_equal_censuses_apart_by_frattini():
     """Q8 x Z2 and Z4 x| Z4 (x^4 = y^4 = 1, y x y^-1 = x^-1) both have order
     16, 3 involutions, 12 elements of order 4 and a center of 4, but |Phi| is
@@ -383,33 +399,32 @@ def test_iso_oracle_tells_equal_censuses_apart_by_frattini():
             for x in range(16)
         )
     )
-    # x^i y^j at index i + 4j, and y^j x^k = x^((-1)^j k) y^j.
-    z4_z4 = TableGroup(
-        tuple(
-            tuple(
-                (i + (-1) ** j * k) % 4 + 4 * ((j + l) % 4)
-                for l in range(4)
-                for k in range(4)
-            )
-            for j in range(4)
-            for i in range(4)
-        )
-    )
+    z4_z4 = z4_by_z4(-1)
     a, b = _Law(q8_z2), _Law(z4_z4)
     assert Counter(a.element_orders) == Counter(b.element_orders)
-    assert sum(a.central) == sum(b.central) == 4
+    assert len(central_elements(16, q8_z2.pmul)) == 4
+    assert len(central_elements(16, z4_z4.pmul)) == 4
     assert (len(a.frattini), len(b.frattini)) == (2, 4)
     assert not iso_oracle(q8_z2, z4_z4)
     assert not iso_oracle(z4_z4, q8_z2)
 
 
 def test_iso_oracle_refuses_groups_outside_the_family():
-    """Equal censuses with |Phi| > 2 are outside the family, so the cyclic
-    group of order 8 is refused against itself; against Z4 x Z2 and Q8 its
-    census already differs."""
+    """Equal order censuses and Frattini orders with |Phi| > 2 are outside
+    the family, so the cyclic group of order 8 is refused against itself;
+    against Z4 x Z2 and Q8 its census already differs.  Z4 x Z4 and Z4 x| Z4
+    have equal order censuses and |Phi| = 4, and are refused in either order
+    although their centers, of 16 and 4, differ: the center size is read
+    off the commutator form, which needs |Phi| <= 2."""
     z8 = TableGroup(tuple(tuple((a + b) % 8 for b in range(8)) for a in range(8)))
     with pytest.raises(ValueError, match=r"\|Phi\| = 4"):
         iso_oracle(z8, z8)
+    direct, semidirect = z4_by_z4(1), z4_by_z4(-1)
+    assert len(central_elements(16, direct.pmul)) == 16
+    assert len(central_elements(16, semidirect.pmul)) == 4
+    for g1, g2 in ((direct, semidirect), (semidirect, direct)):
+        with pytest.raises(ValueError, match=r"\|Phi\| = 4"):
+            iso_oracle(g1, g2)
     assert not iso_oracle(z8, from_form(direct_sum(q_one(), zero_form(1))))
     assert not iso_oracle(z8, TableGroup(Q8_TABLE))
 
@@ -452,11 +467,11 @@ def test_table_frattini_matches_form_level_order():
     """|Phi| read through the law, as the subgroup the squares generate, is
     the form-level frattini_order; the greedy basis modulo Phi has
     log2(order / |Phi|) generators, and ``reference.generated`` finds that
-    they generate the whole group; the
-    elements that commute with the basis, found one coset at a time, are
-    the center.  Every form of dim <= 4, and seeded hidden bases of every
-    class at dim 5 (order 64, Z2^6 and Z4 x Z2^4 among them) against the
-    brute-force center."""
+    they generate the whole group; |Phi| 2^(n - rank B), for the commutator
+    form B read over the n basis elements, is the size of the center.
+    Every form of dim <= 4, and seeded hidden bases of every class at dim 5
+    (order 64, Z2^6 and Z4 x Z2^4 among them) against the brute-force
+    center."""
     groups = [
         (g, frattini_order(g), set(center(g)))
         for dim in range(5)
@@ -475,7 +490,9 @@ def test_table_frattini_matches_form_level_order():
         assert len(law.frattini) == phi_order
         assert 1 << len(law.basis) == g.order // phi_order
         assert len(generated(g.pmul, law.identity, law.basis)) == g.order
-        assert {x for x in range(g.order) if law.central[x]} == center_set
+        form = gexgroup._read_form(g.pmul, law.basis, law.identity)
+        n = len(law.basis)
+        assert phi_order << (n - rank(form.polar())) == len(center_set)
     # The basis generates only in a 2-group, so other orders are refused,
     # the empty table among them; a table that is not a group is refused too.
     with pytest.raises(ValueError):
