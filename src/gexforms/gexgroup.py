@@ -23,15 +23,16 @@ one so that it skips the central bit of y; then
 
     x * y = x ^ y ^ parity(R(x) & y).
 
-R(x) depends on the left factor only, so each model keeps it once it is
-computed: a private memo keyed by x >> 1, filled by ``cocycle_row`` and read
-by ``pmul``, starts as {0: 0} and holds at most 2^dim rows.  A missed row is
-the row of x without the lowest set bit of x >> 1, XORed with the cocycle
-row of that bit, so left factors taken in increasing order, as the squares
-of ``iso_oracle``'s census are, cost one XOR per row.  The memo takes no
-part in equality, hashing or repr.  ``center`` returns a view sized
-from a basis of the radical of B_Q; its elements are built only when it is
-iterated.
+R(x) depends on the left factor only and is linear in x >> 1, so each model
+keeps one private table of rows keyed by x >> 1, read by ``pmul`` and
+``cocycle_row`` alike.  It starts with the row of 0 and the dim unit rows
+(the cocycle rows M_i), and fills itself: a missing row is the row of x >> 1
+without its lowest set bit, XORed with the unit row of that bit, built once
+and stored, so the table holds at most 2^dim rows.  A left factor outside
+the group reaches a single bit that has no unit row and raises IndexError
+with nothing stored.  The table takes no part in equality, hashing or repr.
+``center`` returns a view sized from a basis of the radical of B_Q; its
+elements are built only when it is iterated.
 """
 
 from __future__ import annotations
@@ -57,24 +58,34 @@ FROM_FORM_DIM_CAP = 16
 ISO_ORACLE_ORDER_CAP = 1 << (FROM_FORM_DIM_CAP + 1)
 
 
+class _Rows(dict):
+    """R(x) under the key x >> 1, seeded with 0 and the unit rows; a missing
+    key is built from the key without its lowest set bit and stored."""
+
+    def __missing__(self, key: int) -> int:
+        low = key & -key
+        if low == key:
+            raise IndexError(f"no cocycle row for the key {key}")
+        row = self[key] = self[key ^ low] ^ self[low]
+        return row
+
+
 @dataclass(frozen=True)
 class GexGroup:
-    """Group of order 2^(dim+1) presented by a quadratic form via its cocycle."""
+    """Group of order 2^(dim+1) presented by a quadratic form via its cocycle,
+    with its law read off a self-filling row table that only the form fixes."""
 
     form: QuadraticForm
-    cocycle: tuple[int, ...] = field(init=False)
-    _rows: dict[int, int] = field(
-        init=False, repr=False, compare=False, default_factory=lambda: {0: 0}
-    )
+    _rows: _Rows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.form.dim > FROM_FORM_DIM_CAP:
+        q = self.form
+        if q.dim > FROM_FORM_DIM_CAP:
             raise ValueError(f"group dimension capped at {FROM_FORM_DIM_CAP}")
-        rows = tuple(
-            self.form.upper[i] | (((self.form.diag >> i) & 1) << i)
-            for i in range(self.form.dim)
-        )
-        object.__setattr__(self, "cocycle", rows)
+        rows = _Rows({0: 0})
+        for i in range(q.dim):
+            rows[1 << i] = (q.upper[i] | (q.diag >> i & 1) << i) << 1
+        object.__setattr__(self, "_rows", rows)
 
     @property
     def dim(self) -> int:
@@ -87,27 +98,12 @@ class GexGroup:
     # -- packed-int operations (hot path) ------------------------------------
 
     def cocycle_row(self, x: int) -> int:
-        """R(x): pmul(x, y) == x ^ y ^ parity(R(x) & y) for every packed y.
-
-        The one place a row is computed, as R(x without the lowest set bit
-        of x >> 1) XOR the cocycle row of that bit, and stored in the
-        model's memo under x >> 1, so the memo never holds more than 2^dim
-        rows."""
-        key = x >> 1
-        row = self._rows.get(key)
-        if row is None:
-            low = key & -key
-            row = self._rows[key] = self.cocycle_row(x ^ (low << 1)) ^ (
-                self.cocycle[low.bit_length() - 1] << 1
-            )
-        return row
+        """R(x): pmul(x, y) == x ^ y ^ parity(R(x) & y) for every packed y."""
+        return self._rows[x >> 1]
 
     def pmul(self, x: int, y: int) -> int:
-        """x * y, reading R(x) from the memo; ``cocycle_row`` only on a miss."""
-        row = self._rows.get(x >> 1)
-        if row is None:
-            row = self.cocycle_row(x)
-        return x ^ y ^ ((row & y).bit_count() & 1)
+        """x * y, with one read of the row table."""
+        return x ^ y ^ ((self._rows[x >> 1] & y).bit_count() & 1)
 
     def to_string(self) -> str:
         return "gex:" + self.form.to_string()
@@ -385,7 +381,8 @@ def _certify(a: _Law, b: _Law, cols1, cols2) -> tuple[list[int], list[int]] | No
     lifts = []
     for law, cols in ((a, cols1), (b, cols2)):
         n = len(law.basis)
-        if len(cols) != n or rank(BitMatrix.from_cols(n, cols)) != n:
+        # The columns as rows: rank does not change under transpose.
+        if len(cols) != n or rank(BitMatrix(n, n, tuple(cols))) != n:
             return None
         pmul, ys = law.pmul, []
         for col in cols:

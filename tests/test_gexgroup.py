@@ -224,9 +224,9 @@ def test_iso_oracle_makes_the_law_applications_of_its_docstring(monkeypatch):
 def test_pmul_is_the_cocycle_row_law():
     """pmul(x, y) and x ^ y ^ parity(cocycle_row(x) & y) are both the law
     (u, eps)(v, delta) = (u + v, eps + delta + u^T M v), summed term by term
-    from the form, over all pairs: on a fresh model, whose row memo fills as
+    from the form, over all pairs: on a fresh model, whose row table fills as
     it multiplies, and on one whose rows were all cached first.  Every model
-    of dim <= 3 and seeded models of dim 5.  The memo holds at most one row
+    of dim <= 3 and seeded models of dim 5.  The table holds at most one row
     per left factor and leaves equality, hash and repr alone."""
     rng = random.Random(RNG_SEED + 8)
     forms = [q for dim in range(4) for q in all_forms(dim)]
@@ -244,6 +244,51 @@ def test_pmul_is_the_cocycle_row_law():
             assert len(g._rows) <= g.order // 2, q
         assert fresh == idle and hash(fresh) == hash(idle), q
         assert repr(fresh) == repr(idle), q
+
+
+def test_left_factor_outside_the_group_raises_and_stores_nothing():
+    """pmul and cocycle_row raise IndexError for a left factor outside the
+    group, whether its key is a single bit past the unit rows or holds one,
+    and the row table keeps no row for it."""
+    g = from_form(direct_sum(h_minus(), q_one()))
+    size = len(g._rows)
+    for x in (g.order, g.order | 2, 2 * g.order):
+        with pytest.raises(IndexError):
+            g.pmul(x, 1)
+        with pytest.raises(IndexError):
+            g.cocycle_row(x)
+        assert len(g._rows) == size, x
+
+
+def test_row_table_builds_each_missed_row_once(monkeypatch):
+    """Each row the table lacks costs one call of its missing-key hook, in
+    either order of left factors: a dim-10 model filled by ``_Law.squares``
+    in increasing order and one filled in decreasing order each build the
+    2^10 - 11 rows beyond the seeded row of 0 and unit rows, one call per
+    row.  The tables are equal, and bit b of each row R(x) is the central
+    bit x ^ y ^ (x * y) for y = 1 << b under the law summed term by term."""
+    calls = 0
+    missing = gexgroup._Rows.__missing__
+
+    def counting(self, key):
+        nonlocal calls
+        calls += 1
+        return missing(self, key)
+
+    monkeypatch.setattr(gexgroup._Rows, "__missing__", counting)
+    q = random_form(10, random.Random(RNG_SEED + 10))
+    up, down = from_form(q), from_form(q)
+    _Law(up).squares
+    assert calls == len(up._rows) - 11 == 2**10 - 11
+    calls = 0
+    for x in reversed(range(down.order)):
+        down.pmul(x, x)
+    assert calls == len(down._rows) - 11 == 2**10 - 11
+    assert up._rows == down._rows
+    for key, row in up._rows.items():
+        x = key << 1
+        bits = [x ^ y ^ cocycle_law(q, x, y) for y in (1 << b for b in range(11))]
+        assert row == sum(c << b for b, c in enumerate(bits)), key
 
 
 def test_serialization_round_trip():
