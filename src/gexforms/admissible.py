@@ -9,8 +9,8 @@ serves as the independent oracle.
 
 from __future__ import annotations
 
-from .f2linalg import BitMatrix, _row_image, _transpose_rows, is_invertible
-from .quadform import FormClass, Kind, QuadraticForm, classify, normal_form_witness
+from .f2linalg import BitMatrix, _row_image, is_invertible
+from .quadform import FormClass, Kind, QuadraticForm, _normal_basis, classify
 
 
 def check_basis(q: QuadraticForm, vs: tuple[int, ...]) -> bool:
@@ -64,15 +64,18 @@ def admissible_witness(q: QuadraticForm) -> tuple[int, ...] | None:
     """A concrete admissible basis for q as packed vectors, or None.
 
     Builds the explicit basis for the standard representative, then pulls it
-    back through the normal-form change of basis.
+    back through the columns of the normal-form change of basis, which must
+    be invertible: ValueError otherwise.
     """
     if not is_admissible(q):
         return None
     std = _standard_basis(classify(q))
+    cols = _normal_basis(q)[1]
+    # The columns as rows: rank does not change under transpose.
+    if not is_invertible(BitMatrix(q.dim, q.dim, tuple(cols))):
+        raise ValueError("normal-form change of basis must be invertible")
     # Tw is the XOR of the columns of T selected by the bits of w, and each
     # standard vector w has at most three set bits.
-    t = normal_form_witness(q).map
-    cols = _transpose_rows(t.data, q.dim)
     return tuple(_row_image(cols, w) for w in std)
 
 

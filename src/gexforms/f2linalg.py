@@ -3,7 +3,8 @@
 A vector is a plain Python int (bit i = coordinate i) whose dimension the
 caller knows; a matrix is a frozen dataclass of packed rows.  Everything is
 immutable and pure; dimensions are capped at 64 so a vector always fits a
-machine word.
+machine word.  The table of GL(n, GF(2)) for n <= 4, each matrix with its
+action on GF(2)^n, is built here once per n.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 MAX_DIM = 64
 
@@ -294,15 +296,21 @@ def symplectic_basis(q) -> tuple[list[tuple[int, int]], list[int], int]:
 
 
 @lru_cache(maxsize=None)
-def invertible_matrices(n: int) -> tuple[BitMatrix, ...]:
-    """All invertible n x n matrices over GF(2), in lexicographic column order.
+def _gl_actions(n: int) -> tuple[tuple[BitMatrix, itemgetter], ...]:
+    """(T, pull) for every invertible n x n matrix T over GF(2), in
+    lexicographic column order; only sensible for n <= 4 (|GL(4, GF(2))| =
+    20160), and raises above it before building anything.
 
     The column prefixes grow level by level, each by the vectors outside the
-    span table of its columns, in increasing order.  Cached; only sensible for
-    n <= 4 (|GL(4, GF(2))| = 20160).
+    span table of its columns, in increasing order.  Each T is built once
+    from its columns, and pull(table) is the tuple table[Tv] for v =
+    0..2^n-1, gathered through the span table of the same columns.  Cached,
+    so the table and its action are built once per n.
     """
     if n > 4:
         raise ValueError("invertible-matrix enumeration capped at n = 4")
+    if n == 0:  # one itemgetter index returns the entry; a slice keeps a tuple
+        return ((BitMatrix.identity(0), itemgetter(slice(1))),)
     prefixes: list[list[int]] = [[]]
     for _ in range(n):
         grown = []
@@ -310,4 +318,10 @@ def invertible_matrices(n: int) -> tuple[BitMatrix, ...]:
             span = set(_span(cols))
             grown += [cols + [c] for c in range(1, 1 << n) if c not in span]
         prefixes = grown
-    return tuple(BitMatrix.from_cols(n, cols) for cols in prefixes)
+    return tuple((BitMatrix.from_cols(n, c), itemgetter(*_span(c))) for c in prefixes)
+
+
+def invertible_matrices(n: int) -> tuple[BitMatrix, ...]:
+    """All invertible n x n matrices over GF(2), in lexicographic column
+    order: the matrices of the cached _gl_actions(n)."""
+    return tuple(t for t, _ in _gl_actions(n))

@@ -60,11 +60,12 @@ ISO_ORACLE_ORDER_CAP = 1 << (FROM_FORM_DIM_CAP + 1)
 
 class _Rows(dict):
     """R(x) under the key x >> 1, seeded with 0 and the unit rows; a missing
-    key is built from the key without its lowest set bit and stored."""
+    key is built from the key without its lowest set bit and stored, and a
+    missing single-bit or negative key is outside the group: IndexError."""
 
     def __missing__(self, key: int) -> int:
         low = key & -key
-        if low == key:
+        if key <= low:
             raise IndexError(f"no cocycle row for the key {key}")
         row = self[key] = self[key ^ low] ^ self[low]
         return row

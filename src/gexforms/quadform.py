@@ -11,7 +11,8 @@ dimension.  ``_normal_basis`` decides which from one symplectic
 decomposition, a rank-two update of a packed B_Q block per hyperbolic pair,
 and is the one place that lays out the standard basis: H- first, then H+
 blocks, then Q1, then zeros.  ``classify`` returns its class
-and ``normal_form_witness`` its change of basis.
+and ``normal_form_witness`` its change of basis.  ``isometry_oracle`` reads
+GL(n) and its action from the table f2linalg builds once per n.
 """
 
 from __future__ import annotations
@@ -19,17 +20,16 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from operator import itemgetter
+from functools import cached_property
 
 from .f2linalg import (
     MAX_DIM,
     BitMatrix,
+    _gl_actions,
     _parity,
     _row_image,
     _span,
     _transpose_rows,
-    invertible_matrices,
     is_invertible,
     rank,
     symplectic_basis,
@@ -335,19 +335,14 @@ def classify(q: QuadraticForm) -> FormClass:
 
 
 def standard_form(fc: FormClass) -> QuadraticForm:
-    """The canonical representative: H- first, then H+ blocks, then Q1, then zeros."""
-    parts: list[QuadraticForm] = []
-    m1 = fc.m1
-    if fc.kind is Kind.MINUS:
-        parts.append(h_minus())
-        m1 -= 1
-    parts.extend(h_plus() for _ in range(m1))
-    m2 = fc.m2
-    if fc.kind is Kind.QONE:
-        parts.append(q_one())
-        m2 -= 1
-    parts.append(zero_form(m2))
-    return sum_forms(*parts)
+    """The canonical representative: H- first, then H+ blocks, then Q1, then
+    zeros.  Each plane (e_2k, e_2k+1), k < m1, has b = 1; Q is 1 on e_0 and
+    e_1 for Minus, on e_2m1 for QOne, and 0 on every other basis vector."""
+    upper = [0] * fc.dim
+    for k in range(fc.m1):
+        upper[2 * k] = 2 << (2 * k)
+    diag = {Kind.MINUS: 0b11, Kind.QONE: 1 << (2 * fc.m1)}.get(fc.kind, 0)
+    return QuadraticForm(fc.dim, diag, tuple(upper))
 
 
 def is_isometric(q: QuadraticForm, q2: QuadraticForm) -> bool:
@@ -368,28 +363,13 @@ def normal_form_witness(q: QuadraticForm) -> Isometry:
 ORACLE_DIM_CAP = 4
 
 
-@lru_cache(maxsize=None)
-def _gl_actions(n: int) -> tuple[tuple[BitMatrix, itemgetter], ...]:
-    """(T, pull) for each T of invertible_matrices(n), in the same order.
-
-    pull(table) is the tuple table[Tv] for v = 0..2^n-1, gathered through
-    the span table of the columns of T.
-    """
-    if n == 0:  # one itemgetter index returns the entry; a slice keeps a tuple
-        return tuple((t, itemgetter(slice(1))) for t in invertible_matrices(0))
-    return tuple(
-        (t, itemgetter(*_span(_transpose_rows(t.data, n))))
-        for t in invertible_matrices(n)
-    )
-
-
 def isometry_oracle(q: QuadraticForm, q2: QuadraticForm) -> Isometry | None:
     """Exhaustively search GL(dim, GF(2)) for T with change_basis(q2, T) = q.
 
     Independent ground truth for classify; capped at dim 4 (20160 matrices).
     Returns the first witness in the fixed enumeration order of
-    invertible_matrices, or None.  The action of every T on GF(2)^dim is
-    tabulated once per dim and cached, so each candidate costs one
+    invertible_matrices, or None.  f2linalg._gl_actions builds each T with
+    its action on GF(2)^dim once per dim, so each candidate costs one
     itemgetter gather of q2's value table, compared with q's.  An isometry
     permutes GF(2)^dim, so forms with different numbers of vectors of value
     1 are told apart by that count before the loop.

@@ -173,14 +173,16 @@ def test_user_path_makes_the_decompositions_and_transposes_of_its_docstrings(
     monkeypatch,
 ):
     """The cost lines of the symplectic_basis and _normal_basis docstrings
-    ("one transpose"), with one transpose in each BitMatrix.from_cols and
-    one in admissible_witness: an admissible form through classify,
-    normal_form_witness, is_admissible and admissible_witness makes 6
-    decompositions (one per classify, two per admissible_witness) and 9
-    transposes of a packed block (6 in the decompositions, 2 in from_cols
-    and 1 in admissible_witness).  Every transpose goes through
-    f2linalg._transpose, and each module imports symplectic_basis by name,
-    so each binding is counted."""
+    ("one transpose"), with one transpose in BitMatrix.from_cols: an
+    admissible form through classify, normal_form_witness, is_admissible and
+    admissible_witness makes 6 decompositions (one per classify, two per
+    admissible_witness) and 7 transposes of a packed block (6 in the
+    decompositions and 1 in normal_form_witness's from_cols), since
+    admissible_witness reads the witness columns straight from
+    _normal_basis.  Each witness passes one full rank check: the Isometry of
+    normal_form_witness and the check of admissible_witness, 2 rank calls.
+    Every transpose goes through f2linalg._transpose, and each module
+    imports symplectic_basis and rank by name, so each binding is counted."""
     rng = random.Random(RNG_SEED + 9)
     forms = [
         hidden_form(fc, rng)
@@ -199,18 +201,20 @@ def test_user_path_makes_the_decompositions_and_transposes_of_its_docstrings(
 
         return wrapper
 
-    for name in ("symplectic_basis", "_transpose"):
+    for name in ("symplectic_basis", "_transpose", "rank"):
         wrapped = counting(name, getattr(f2linalg, name))
         for module in (f2linalg, quadform, admissible):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapped)
     for q in forms:
-        counts.update(symplectic_basis=0, _transpose=0)
+        counts.update(symplectic_basis=0, _transpose=0, rank=0)
         classify(q)
         normal_form_witness(q)
         assert is_admissible(q)
         admissible_witness(q)
-        assert counts == {"symplectic_basis": 6, "_transpose": 9}, q.to_string()
+        assert counts == {"symplectic_basis": 6, "_transpose": 7, "rank": 2}, (
+            q.to_string()
+        )
 
 
 def test_every_class_behind_a_hidden_basis():

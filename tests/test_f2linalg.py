@@ -3,8 +3,10 @@ from itertools import product
 
 import pytest
 
+from gexforms import f2linalg
 from gexforms.f2linalg import (
     BitMatrix,
+    _gl_actions,
     _row_image,
     _span,
     _transpose_rows,
@@ -202,6 +204,29 @@ def test_invertible_matrices_in_lexicographic_column_order():
         expected = [m for m in candidates if rank(m) == n]
         assert list(invertible_matrices(n)) == expected, n
     assert len(invertible_matrices(4)) == 20160
+    with pytest.raises(ValueError, match="capped at n = 4"):
+        invertible_matrices(5)
+
+
+def test_gl_table_transposes_each_matrix_once(monkeypatch):
+    """_gl_actions builds each T of GL(n) once from its columns and reads
+    its action from the same columns: a cold GL(3) table makes one
+    transpose per matrix, 168 in all.  invertible_matrices(n) is its list of
+    matrices, and both raise above n = 4."""
+    calls = 0
+    transpose = f2linalg._transpose
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return transpose(*args)
+
+    monkeypatch.setattr(f2linalg, "_transpose", counting)
+    _gl_actions.cache_clear()
+    assert len(_gl_actions(3)) == 168
+    assert calls == 168
+    for n in range(5):
+        assert list(invertible_matrices(n)) == [t for t, _ in _gl_actions(n)], n
     with pytest.raises(ValueError, match="capped at n = 4"):
         invertible_matrices(5)
 

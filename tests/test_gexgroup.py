@@ -248,11 +248,11 @@ def test_pmul_is_the_cocycle_row_law():
 
 def test_left_factor_outside_the_group_raises_and_stores_nothing():
     """pmul and cocycle_row raise IndexError for a left factor outside the
-    group, whether its key is a single bit past the unit rows or holds one,
-    and the row table keeps no row for it."""
+    group, whether its key is a single bit past the unit rows, holds one or
+    is negative, and the row table keeps no row for it."""
     g = from_form(direct_sum(h_minus(), q_one()))
     size = len(g._rows)
-    for x in (g.order, g.order | 2, 2 * g.order):
+    for x in (g.order, g.order | 2, 2 * g.order, -1, -2, -g.order):
         with pytest.raises(IndexError):
             g.pmul(x, 1)
         with pytest.raises(IndexError):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gexforms import quadform, verify
+from gexforms import admissible, f2linalg, quadform, verify
+from gexforms.admissible import admissible_witness
 from gexforms.f2linalg import (
     BitMatrix,
     _row_image,
@@ -469,7 +470,7 @@ def test_gl_actions_pull_a_tuple_per_vector():
     would return the bare entry."""
     for n in range(3):
         table = tuple(range(10, 10 + (1 << n)))
-        for t, pull in quadform._gl_actions(n):
+        for t, pull in f2linalg._gl_actions(n):
             got = pull(table)
             assert isinstance(got, tuple) and len(got) == 1 << n, (n, got)
             assert got == tuple(table[matvec_bits(t, v)] for v in range(1 << n))
@@ -511,9 +512,12 @@ def test_change_basis_requires_invertible():
         change_basis(h_plus(), BitMatrix.identity(3))
 
 
-def test_witness_checks_reject_a_dependent_column():
-    """Isometry and change_basis run a full rank check: one column that is the
-    XOR of two others makes the map singular, and both must reject it."""
+def test_witness_checks_reject_a_dependent_column(monkeypatch):
+    """Isometry, change_basis and admissible_witness run a full rank check:
+    one column that is the XOR of two others makes the map singular, and
+    each must reject it.  admissible_witness is handed the singular columns
+    through _normal_basis, for an admissible form (H- plus zeros, hidden
+    behind T) at every dim but 1, which has none."""
     rng = random.Random(29)
     for dim in (1, 8, 9, 33, 64):
         t = random_invertible(dim, rng)
@@ -531,6 +535,15 @@ def test_witness_checks_reject_a_dependent_column():
             Isometry(singular)
         with pytest.raises(ValueError, match="must be invertible"):
             change_basis(q, singular)
+        if dim < 2:
+            continue
+        fc = FormClass(dim, 1, Kind.MINUS, dim - 2)
+        admissible_q = change_basis(standard_form(fc), t)
+        assert admissible_witness(admissible_q) is not None
+        with monkeypatch.context() as m:
+            m.setattr(admissible, "_normal_basis", lambda q: (fc, list(cols)))
+            with pytest.raises(ValueError, match="must be invertible"):
+                admissible_witness(admissible_q)
 
 
 def test_grid_is_the_set_form_class_accepts():
