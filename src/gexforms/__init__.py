@@ -12,7 +12,6 @@ from .quadform import (
     direct_sum,
     h_minus,
     h_plus,
-    is_isometric,
     isometry_oracle,
     normal_form_witness,
     parse_form,
@@ -59,7 +58,6 @@ __all__ = [
     "h_plus",
     "is_admissible",
     "is_admissible_bruteforce",
-    "is_isometric",
     "iso_oracle",
     "isometry_oracle",
     "kernel_basis",

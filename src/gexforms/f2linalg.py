@@ -16,6 +16,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 MAX_DIM = 64
+GL_DIM_CAP = 4  # the largest n whose GL(n, GF(2)) table _gl_actions builds
 
 
 def _parity(x: int) -> int:
@@ -298,8 +299,8 @@ def symplectic_basis(q) -> tuple[list[tuple[int, int]], list[int], int]:
 @lru_cache(maxsize=None)
 def _gl_actions(n: int) -> tuple[tuple[BitMatrix, itemgetter], ...]:
     """(T, pull) for every invertible n x n matrix T over GF(2), in
-    lexicographic column order; only sensible for n <= 4 (|GL(4, GF(2))| =
-    20160), and raises above it before building anything.
+    lexicographic column order; only sensible for n <= GL_DIM_CAP = 4
+    (|GL(4, GF(2))| = 20160), and raises above it before building anything.
 
     The column prefixes grow level by level, each by the vectors outside the
     span table of its columns, in increasing order.  Each T is built once
@@ -307,8 +308,8 @@ def _gl_actions(n: int) -> tuple[tuple[BitMatrix, itemgetter], ...]:
     0..2^n-1, gathered through the span table of the same columns.  Cached,
     so the table and its action are built once per n.
     """
-    if n > 4:
-        raise ValueError("invertible-matrix enumeration capped at n = 4")
+    if n > GL_DIM_CAP:
+        raise ValueError(f"invertible-matrix enumeration capped at n = {GL_DIM_CAP}")
     if n == 0:  # one itemgetter index returns the entry; a slice keeps a tuple
         return ((BitMatrix.identity(0), itemgetter(slice(1))),)
     prefixes: list[list[int]] = [[]]

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .f2linalg import (
+    GL_DIM_CAP,
     MAX_DIM,
     BitMatrix,
     _gl_actions,
@@ -31,7 +32,6 @@ from .f2linalg import (
     _span,
     _transpose_rows,
     is_invertible,
-    rank,
     symplectic_basis,
 )
 
@@ -179,13 +179,6 @@ def direct_sum(q: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:
         raise ValueError("combined dimension exceeds cap")
     upper = list(q.upper) + [row << n for row in q2.upper]
     return QuadraticForm(n + n2, q.diag | (q2.diag << n), tuple(upper))
-
-
-def sum_forms(*qs: QuadraticForm) -> QuadraticForm:
-    acc = zero_form(0)
-    for q in qs:
-        acc = direct_sum(acc, q)
-    return acc
 
 
 # -- change of basis ----------------------------------------------------------
@@ -345,10 +338,6 @@ def standard_form(fc: FormClass) -> QuadraticForm:
     return QuadraticForm(fc.dim, diag, tuple(upper))
 
 
-def is_isometric(q: QuadraticForm, q2: QuadraticForm) -> bool:
-    return q.dim == q2.dim and classify(q) == classify(q2)
-
-
 # -- constructive witnesses ---------------------------------------------------
 
 
@@ -360,7 +349,7 @@ def normal_form_witness(q: QuadraticForm) -> Isometry:
 
 # -- exhaustive oracle --------------------------------------------------------
 
-ORACLE_DIM_CAP = 4
+ORACLE_DIM_CAP = GL_DIM_CAP  # the oracle walks the GL(n) table
 
 
 def isometry_oracle(q: QuadraticForm, q2: QuadraticForm) -> Isometry | None:
@@ -410,10 +399,3 @@ def random_form(dim: int, rng) -> QuadraticForm:
             if rng.getrandbits(1):
                 upper[i] |= 1 << j
     return QuadraticForm(dim, rng.getrandbits(dim), tuple(upper))
-
-
-def random_invertible(dim: int, rng) -> BitMatrix:
-    while True:
-        m = BitMatrix(dim, dim, tuple(rng.getrandbits(dim) for _ in range(dim)))
-        if rank(m) == dim:
-            return m

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gexforms import admissible, f2linalg, quadform
+from gexforms import f2linalg
 from gexforms.f2linalg import _row_image
 from gexforms.admissible import (
     _standard_basis,
@@ -26,14 +26,12 @@ from gexforms.quadform import (
     normal_form_witness,
     q_one,
     random_form,
-    random_invertible,
     standard_form,
-    sum_forms,
     zero_form,
 )
 
 from reference import matvec_bits
-from seeded import RNG_SEED, hidden_form
+from seeded import RNG_SEED, counted, forbid, hidden_form, random_invertible, sum_forms
 
 
 def test_anchor_verdicts():
@@ -153,10 +151,9 @@ def test_decision_paths_never_evaluate_the_form(monkeypatch):
         else:
             assert ref[3] is None
 
-    def no_eval(self, v):
-        raise AssertionError("the decision path evaluated the form")
-
-    monkeypatch.setattr(QuadraticForm, "eval_bits", no_eval)
+    forbid(
+        monkeypatch, QuadraticForm, "eval_bits", "the decision path evaluated the form"
+    )
     for (q, _), ref in zip(forms, references):
         assert run(q) == ref, q.to_string()
 
@@ -192,29 +189,18 @@ def test_user_path_makes_the_decompositions_and_transposes_of_its_docstrings(
             FormClass(64, 31, Kind.QONE, 2),
         )
     ]
-    counts = {}
-
-    def counting(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    for name in ("symplectic_basis", "_transpose", "rank"):
-        wrapped = counting(name, getattr(f2linalg, name))
-        for module in (f2linalg, quadform, admissible):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, wrapped)
+    counters = [
+        counted(monkeypatch, f2linalg, name)
+        for name in ("symplectic_basis", "_transpose", "rank")
+    ]
     for q in forms:
-        counts.update(symplectic_basis=0, _transpose=0, rank=0)
+        for counter in counters:
+            counter.calls = 0
         classify(q)
         normal_form_witness(q)
         assert is_admissible(q)
         admissible_witness(q)
-        assert counts == {"symplectic_basis": 6, "_transpose": 7, "rank": 2}, (
-            q.to_string()
-        )
+        assert [c.calls for c in counters] == [6, 7, 2], q.to_string()
 
 
 def test_every_class_behind_a_hidden_basis():

@@ -216,10 +216,17 @@ def test_help_names_each_cap(capsys):
         assert phrase in text
 
 
-def test_verify_paper_json(capsys, monkeypatch, suite_report):
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_verify_paper_json(capsys, monkeypatch, suite_report, flags):
+    """verify-paper prints one line per check and the summary, as text or
+    as JSON records."""
     monkeypatch.setattr(verify, "run_suite", lambda: suite_report)
-    code, out, _ = run(capsys, "verify-paper", "--json")
+    code, out, _ = run(capsys, "verify-paper", *flags)
     assert code == 0
+    if not flags:
+        text = [c.format() for c in suite_report.checks] + [suite_report.summary()]
+        assert out == "".join(f"{line}\n" for line in text)
+        return
     lines = out.strip().splitlines()
     records = [json.loads(line) for line in lines]
     summary = records[-1]

@@ -19,7 +19,7 @@ from gexforms.gexgroup import BaseKind, GexGroup, GroupClass, from_form
 from gexforms.quadform import classify, FormClass, Kind, QuadraticForm
 
 from reference import is_isomorphism, polarization
-from seeded import RNG_SEED
+from seeded import RNG_SEED, counted
 
 MINUS_ONE = 1  # packed (subset << 1) | sign: the empty product with sign -
 
@@ -146,20 +146,12 @@ def psi_table(n):
 def test_generator_lifts_apply_the_law_once_per_entry(monkeypatch):
     """The _generator_lifts docstring: "one law application per entry", so
     2^(n-1) - 1 pmul calls for g0_form(n - 1), the empty product being free."""
-    calls = 0
-    pmul = GexGroup.pmul
-
-    def counting_pmul(self, x, y):
-        nonlocal calls
-        calls += 1
-        return pmul(self, x, y)
-
-    monkeypatch.setattr(GexGroup, "pmul", counting_pmul)
+    pmul = counted(monkeypatch, GexGroup, "pmul")
     for n in range(2, 11):
         g = from_form(g0_form(n - 1))
-        calls = 0
+        pmul.calls = 0
         _generator_lifts(g)
-        assert calls == (1 << (n - 1)) - 1, n
+        assert pmul.calls == (1 << (n - 1)) - 1, n
 
 
 def test_psi_generator_images():

@@ -7,8 +7,6 @@ from gexforms import f2linalg
 from gexforms.f2linalg import (
     BitMatrix,
     _gl_actions,
-    _row_image,
-    _span,
     _transpose_rows,
     invertible_matrices,
     is_invertible,
@@ -25,12 +23,11 @@ from gexforms.quadform import (
     h_minus,
     h_plus,
     random_form,
-    random_invertible,
     zero_form,
 )
 
 from reference import bilinear, matvec_bits, symplectic_pairs
-from seeded import hidden_form
+from seeded import counted, hidden_form, random_invertible
 
 CYCLE3 = BitMatrix(3, 3, (0b110, 0b101, 0b011))  # rows (011),(101),(110)
 CYCLE3_FORM = QuadraticForm(3, 0, (0b110, 0b100, 0))  # its polar form is CYCLE3
@@ -213,18 +210,10 @@ def test_gl_table_transposes_each_matrix_once(monkeypatch):
     its action from the same columns: a cold GL(3) table makes one
     transpose per matrix, 168 in all.  invertible_matrices(n) is its list of
     matrices, and both raise above n = 4."""
-    calls = 0
-    transpose = f2linalg._transpose
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return transpose(*args)
-
-    monkeypatch.setattr(f2linalg, "_transpose", counting)
+    transposes = counted(monkeypatch, f2linalg, "_transpose")
     _gl_actions.cache_clear()
     assert len(_gl_actions(3)) == 168
-    assert calls == 168
+    assert transposes.calls == 168
     for n in range(5):
         assert list(invertible_matrices(n)) == [t for t, _ in _gl_actions(n)], n
     with pytest.raises(ValueError, match="capped at n = 4"):

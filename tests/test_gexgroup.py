@@ -23,7 +23,6 @@ from gexforms.gexgroup import (
     direct_z2,
     frattini_order,
     from_form,
-    group_class_of_form_class,
     iso_oracle,
     q_from_group,
 )
@@ -40,12 +39,11 @@ from gexforms.quadform import (
     parse_form,
     q_one,
     random_form,
-    sum_forms,
     zero_form,
 )
 
 from reference import central_elements, cocycle_law, generated, is_isomorphism
-from seeded import RNG_SEED, hidden_form
+from seeded import RNG_SEED, counted, forbid, hidden_form, sum_forms
 
 
 def test_order_and_identity():
@@ -164,10 +162,7 @@ def test_form_round_trips_through_group(monkeypatch):
         random_form(dim, rng) for dim in range(FROM_FORM_DIM_CAP + 1) for _ in range(4)
     ]
 
-    def no_eval(self, v):
-        raise AssertionError("q_from_group evaluated the form")
-
-    monkeypatch.setattr(QuadraticForm, "eval_bits", no_eval)
+    forbid(monkeypatch, QuadraticForm, "eval_bits", "q_from_group evaluated the form")
     for q in forms:
         assert q_from_group(from_form(q)) == q
 
@@ -176,20 +171,12 @@ def test_q_from_group_makes_dim_squared_law_applications(monkeypatch):
     """The q_from_group docstring: "dim^2 law applications", one square per
     lift and two products per pair of lifts."""
     rng = random.Random(RNG_SEED + 3)
-    calls = 0
-    pmul = GexGroup.pmul
-
-    def counting_pmul(self, x, y):
-        nonlocal calls
-        calls += 1
-        return pmul(self, x, y)
-
-    monkeypatch.setattr(GexGroup, "pmul", counting_pmul)
+    pmul = counted(monkeypatch, GexGroup, "pmul")
     for dim in range(9):
         g = from_form(random_form(dim, rng))
-        calls = 0
+        pmul.calls = 0
         assert q_from_group(g) == g.form
-        assert calls == dim * dim, dim
+        assert pmul.calls == dim * dim, dim
 
 
 def test_iso_oracle_makes_the_law_applications_of_its_docstring(monkeypatch):
@@ -201,24 +188,16 @@ def test_iso_oracle_makes_the_law_applications_of_its_docstring(monkeypatch):
     take n applications.  Q1 + 0^4: 64 + 2 x 2 + 62 + 25 + 5 + 25 = 185;
     0^5: 64 + 1 + 63 + 36 + 6 + 36 = 206; H+^2: 32 + 2 x 2 + 30 + 16 + 4
     + 16 = 102; two models of each form, so twice that."""
-    calls = 0
-    pmul = GexGroup.pmul
-
-    def counting_pmul(self, x, y):
-        nonlocal calls
-        calls += 1
-        return pmul(self, x, y)
-
-    monkeypatch.setattr(GexGroup, "pmul", counting_pmul)
+    pmul = counted(monkeypatch, GexGroup, "pmul")
     cases = [
         (direct_sum(q_one(), zero_form(4)), 370),
         (zero_form(5), 412),
         (direct_sum(h_plus(), h_plus()), 204),
     ]
     for q, expected in cases:
-        calls = 0
+        pmul.calls = 0
         assert iso_oracle(from_form(q), from_form(q))
-        assert calls == expected, q
+        assert pmul.calls == expected, q
 
 
 def test_pmul_is_the_cocycle_row_law():
@@ -267,23 +246,15 @@ def test_row_table_builds_each_missed_row_once(monkeypatch):
     2^10 - 11 rows beyond the seeded row of 0 and unit rows, one call per
     row.  The tables are equal, and bit b of each row R(x) is the central
     bit x ^ y ^ (x * y) for y = 1 << b under the law summed term by term."""
-    calls = 0
-    missing = gexgroup._Rows.__missing__
-
-    def counting(self, key):
-        nonlocal calls
-        calls += 1
-        return missing(self, key)
-
-    monkeypatch.setattr(gexgroup._Rows, "__missing__", counting)
+    missed = counted(monkeypatch, gexgroup._Rows, "__missing__")
     q = random_form(10, random.Random(RNG_SEED + 10))
     up, down = from_form(q), from_form(q)
     _Law(up).squares
-    assert calls == len(up._rows) - 11 == 2**10 - 11
-    calls = 0
+    assert missed.calls == len(up._rows) - 11 == 2**10 - 11
+    missed.calls = 0
     for x in reversed(range(down.order)):
         down.pmul(x, x)
-    assert calls == len(down._rows) - 11 == 2**10 - 11
+    assert missed.calls == len(down._rows) - 11 == 2**10 - 11
     assert up._rows == down._rows
     for key, row in up._rows.items():
         x = key << 1

@@ -31,20 +31,17 @@ from gexforms.quadform import (
     form_classes,
     h_minus,
     h_plus,
-    is_isometric,
     isometry_oracle,
     normal_form_witness,
     parse_form,
     q_one,
     random_form,
-    random_invertible,
     standard_form,
-    sum_forms,
     zero_form,
 )
 
 from reference import bilinear, matvec_bits, polarization
-from seeded import RNG_SEED
+from seeded import RNG_SEED, forbid, random_invertible, sum_forms
 
 
 def forms_strategy(max_dim=5):
@@ -345,10 +342,6 @@ def test_sum_forms_associates():
     )
 
 
-def test_is_isometric_dimension_mismatch():
-    assert not is_isometric(zero_form(1), zero_form(2))
-
-
 def test_isometry_oracle_cap_and_dim_check():
     with pytest.raises(ValueError):
         isometry_oracle(zero_form(5), zero_form(5))
@@ -429,14 +422,8 @@ def test_value_table_cap_raises_before_building(monkeypatch):
     rng = random.Random(RNG_SEED + 12)
     q = random_form(VALUE_TABLE_DIM_CAP + 1, rng)
 
-    def no_eval(self, v):
-        raise AssertionError("value_table evaluated the form")
-
-    def no_span(rows):
-        raise AssertionError("value_table built the span table")
-
-    monkeypatch.setattr(QuadraticForm, "eval_bits", no_eval)
-    monkeypatch.setattr(quadform, "_span", no_span)
+    forbid(monkeypatch, QuadraticForm, "eval_bits", "value_table evaluated the form")
+    forbid(monkeypatch, quadform, "_span", "value_table built the span table")
     with pytest.raises(ValueError, match="value table capped at dimension 20"):
         q.value_table
 
