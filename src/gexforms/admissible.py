@@ -16,20 +16,30 @@ from .quadform import FormClass, Kind, QuadraticForm, _normal_basis, classify
 def check_basis(q: QuadraticForm, vs: tuple[int, ...]) -> bool:
     """Verify all three admissible-basis invariants by direct evaluation:
     vs is a basis of packed vectors, Q = 1 on each, and each has a
-    B_Q-partner among the others."""
-    if len(vs) != q.dim or any(v >> q.dim for v in vs):
+    B_Q-partner among the others.
+
+    One row image r_v = v^T U of the strictly upper-triangular U = q.upper
+    per vector gives Q(v) = parity((diag ^ r_v) & v) and
+    B_Q(v, w) = v^T (U + U^T) w = parity(r_v & w) ^ parity(r_w & v): n row
+    images and n^2 parities, not the O(n^3) of evaluating Q at every sum.
+    """
+    n = q.dim
+    if len(vs) != n or any(v >> n for v in vs):
         return False
-    if q.dim == 0:
+    if n == 0:
         return False
     # The vectors as rows: rank does not change under transpose.
-    if not is_invertible(BitMatrix(q.dim, q.dim, vs)):
+    if not is_invertible(BitMatrix(n, n, vs)):
         return False
-    ev = q.eval_bits
-    if any(ev(v) != 1 for v in vs):
+    rows = [_row_image(q.upper, v) for v in vs]
+    if any(not ((q.diag ^ r) & v).bit_count() & 1 for v, r in zip(vs, rows)):
         return False
-    # Q = 1 on both, so B_Q(v, w) = Q(v + w) + Q(v) + Q(w) = Q(v + w).
-    for i, v in enumerate(vs):
-        if not any(ev(v ^ w) for j, w in enumerate(vs) if j != i):
+    # B_Q(v, v) = 0, so v need not be left out of its own partner search.
+    for v, r in zip(vs, rows):
+        if not any(
+            ((r & w).bit_count() ^ (rw & v).bit_count()) & 1
+            for w, rw in zip(vs, rows)
+        ):
             return False
     return True
 

@@ -19,15 +19,13 @@ cocycle row.
 E(n) is isomorphic to the presented group on generators -1, e_1, ..., e_{n-1}
 with e_i^2 = -1 and anticommuting generators, which is exactly the cocycle
 model of the all-ones quadratic form.  ``verify_psi`` proves that isomorphism
-from the generators: a bijection f with f(1) = 1 that satisfies
-f(s y) = f(s) f(y) for every s in a generating set S and every y is a
-homomorphism, by induction on the length of a word in S.  The induction needs
-every element to be a word in S and the target law to be associative; both
-are checked (the second as additivity of A over all 2^n subsets).  With S the
-central involution and the n-1 generator lifts, the proof costs a 2^n image
-table and n * 2^n law checks, not the 4^n of checking every pair, and runs
-for every n up to MAX_N.  ``verify_en_table`` checks the mod-8 decomposition
-of E(n) x Z2 into central products.
+from the 2^n image table of the generator map: both laws are bilinear
+cocycles, so the map is a homomorphism exactly when the central involution
+goes to -1, the vector part of the images is linear, and their signs are the
+values of one quadratic form, read off the generator images.  That takes no
+law check at all, not the 4^n of checking every pair, and runs for every n up
+to MAX_N.  ``verify_en_table`` checks the mod-8 decomposition of E(n) x Z2
+into central products.
 """
 
 from __future__ import annotations
@@ -114,19 +112,42 @@ def verify_psi(n: int) -> bool:
     """Prove that the generator map psi from the cocycle model of the
     presented group onto E(n) is a bijective homomorphism, for 2 <= n <= MAX_N.
 
-    The proof is the generator lemma: let f be a bijection with f(1) = 1 from
-    a group generated by S onto a set with an associative law.  If
-    f(s y) = f(s) f(y) for every s in S and every y, then f is a homomorphism
-    (write x as a word in S and induct on its length).  Here S is the central
-    involution and the n-1 generator lifts.  Both premises the induction uses
-    are checked too: every element is the central involution to some power
-    times a product of lifts (``lift[v] >> 1 == v``), and the E(n) law is
-    associative because its sign mask is additive over all 2^n subsets.
-    Images are checked to be even subsets and pairwise distinct, so psi is
-    onto E(n).
+    Both laws are bilinear-cocycle laws.  The model multiplies
+    (u, eps)(v, delta) = (u + v, eps + delta + beta(u, v)) with
+    beta(u, v) = parity(R(u) & v), and R is additive by construction (the
+    self-filling row table of ``gexgroup``), so beta is bilinear: the model
+    is a group only because of that.  E(n) multiplies by the same law with
+    alpha(s, t) = parity(A(s) & t), bilinear because the sign mask A is
+    additive over all 2^n subsets, a checked premise.  Then psi is a
+    homomorphism exactly when:
 
-    Cost: a 2^n image table built with one law application per element, 2^n
-    sign masks, and n * 2^n law checks, against 4^n for every pair.
+    (i) images[x ^ 1] == images[x] ^ 1 for every x, so the central
+        involution goes to -1 and psi(v, eps) = (p(v), eps + c(v)) for the
+        vector part p(v) and sign c(v) of the image of (v, 0);
+    (ii) p is the span table of the p(e_i), so p is linear;
+    (iii) gamma(u, v) = beta(u, v) + alpha(p(u), p(v)), bilinear by (ii), is
+        alternating on the n-1 generators;
+    (iv) c is the value table of the form with diagonal c(e_i) and polar
+        gamma.
+
+    For psi(x y) = psi(x) psi(y) reads p(u + v) = p(u) + p(v), which is
+    (ii), and c(u + v) = c(u) + c(v) + gamma(u, v).  At u = v the latter
+    gives gamma(u, u) = c(0) = 0, so gamma is alternating, and then it says
+    that c is a quadratic form with polar gamma, fixed by its values on the
+    generators: (iii) and (iv).  Conversely (i)-(iv) give both identities.
+    p and c are read from the image table, not from the lifts, so the
+    verdict is about the map the table holds, at every element.
+
+    Two more premises are checked: every lift lies over its vector
+    (``lift[v] >> 1 == v``), so the table holds the generator map its
+    formula names, and the images are distinct even subsets, so psi is a
+    bijection onto E(n).
+
+    Cost: the image table, built with one law application per lift, 2^n
+    sign masks for the additivity premise and n-1 for the generator images,
+    n-1 cocycle rows, and one span table and one value table of 2^(n-1)
+    entries: no law check, against n * 2^n for the generator lemma and 4^n
+    for every pair.
     """
     if not 2 <= n <= MAX_N:
         raise ValueError(f"verify_psi supported for 2 <= n <= {MAX_N}")
@@ -137,23 +158,32 @@ def verify_psi(n: int) -> bool:
     if any(lv >> 1 != v for v, lv in enumerate(lift)):
         return False
     images = _psi_images(lift)
-    if images[0] != 0 or len(set(images)) != g.order:
+    if len(set(images)) != g.order:
         return False
     if any((image >> 1).bit_count() & 1 for image in images):
         return False
-    # Images multiply like cocycle-model elements, with the sign mask of the
-    # left factor as its row: pmul(s, y) = s ^ y ^ parity(R(s) & y).
-    for s in [1] + [1 << (i + 1) for i in range(n - 1)]:
-        rs = g.cocycle_row(s)
-        ps = images[s]
-        a_s = _sign_mask(ps >> 1) << 1
-        for y in range(g.order):
-            py = images[y]
-            if images[s ^ y ^ ((rs & y).bit_count() & 1)] != ps ^ py ^ (
-                (a_s & py).bit_count() & 1
-            ):
-                return False
-    return True
+    base = images[::2]  # the images of (v, 0), indexed by v
+    if images[1::2] != [image ^ 1 for image in base]:  # (i)
+        return False
+    p = [image >> 1 for image in base]
+    gens = [p[1 << i] for i in range(n - 1)]
+    if p != _span(gens):  # (ii)
+        return False
+    gamma = []
+    for i, pi in enumerate(gens):
+        a = _sign_mask(pi)
+        row = g.cocycle_row(2 << i) >> 1  # beta(e_i, .)
+        for j, pj in enumerate(gens):
+            row ^= ((a & pj).bit_count() & 1) << j
+        gamma.append(row)
+    diag = sum((base[1 << i] & 1) << i for i in range(n - 1))
+    upper = tuple(row & -(2 << i) for i, row in enumerate(gamma))  # bits j > i
+    c = QuadraticForm(n - 1, diag, upper)
+    # polar() is U + U^T with a zero diagonal: gamma equals it exactly when
+    # gamma is alternating.
+    if gamma != list(c.polar().data):  # (iii)
+        return False
+    return tuple(image & 1 for image in base) == c.value_table  # (iv)
 
 
 def en_expected_class(n: int) -> GroupClass:

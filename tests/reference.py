@@ -30,6 +30,26 @@ def polarization(q, u: int, v: int) -> int:
     return q.eval_bits(u ^ v) ^ q.eval_bits(u) ^ q.eval_bits(v)
 
 
+def is_admissible_basis(q, vs) -> bool:
+    """Whether vs is an admissible basis of q, from the definition: q.dim
+    vectors inside GF(2)^dim, independent, with Q = 1 on each by
+    ``q.eval_bits`` and a partner w in vs with B_Q(v, w) = 1 by
+    ``polarization``.  Dim 0 has none, as no vector has a partner."""
+    n = q.dim
+    if n == 0 or len(vs) != n or any(v >> n for v in vs):
+        return False
+    pivots = {}  # leading bit -> a kept vector with that leading bit
+    for v in vs:
+        while v and v.bit_length() in pivots:
+            v ^= pivots[v.bit_length()]
+        if not v:
+            return False
+        pivots[v.bit_length()] = v
+    if any(q.eval_bits(v) != 1 for v in vs):
+        return False
+    return all(any(polarization(q, v, w) for w in vs) for v in vs)
+
+
 def cocycle_law(q, x: int, y: int) -> int:
     """(u, eps)(v, delta) = (u + v, eps + delta + u^T M v) on the packed
     (u << 1) | eps, with M_ii = Q(e_i) from ``q.diag`` and M_ij = b_ij from

@@ -30,7 +30,7 @@ from gexforms.quadform import (
     zero_form,
 )
 
-from reference import matvec_bits
+from reference import is_admissible_basis, matvec_bits
 from seeded import RNG_SEED, counted, forbid, hidden_form, random_invertible, sum_forms
 
 
@@ -86,6 +86,41 @@ def test_check_basis_rejections():
     assert not check_basis(q, vs)
 
 
+def test_check_basis_agrees_with_eval_bits_reference():
+    """The witness of a seeded hidden admissible form at each dim 2-64 and
+    four corruptions of it, with the eval_bits reference's verdict: a basis
+    vector repeated (dependent), one replaced by a sum with Q = 0 (still a
+    basis), a bit set at dim, and a Q1 summand added whose coordinate joins
+    the basis without a partner."""
+    rng = random.Random(RNG_SEED + 10)
+    cases = [(q_one(), (1,), False)]  # dim 1: no partner
+    q_zero_dims = []
+    for dim in range(2, 65):
+        fc = rng.choice([fc for fc in form_classes(dim) if _theorem_admissible(fc)])
+        q = hidden_form(fc, rng)
+        vs = admissible_witness(q)
+        cases.append((q, vs, True))
+        k, i = rng.sample(range(dim), 2)
+        cases.append((q, vs[:k] + (vs[i],) + vs[k + 1 :], False))
+        others = [v for j, v in enumerate(vs) if j != k]
+        for _ in range(64):
+            u = vs[k]
+            for v in others:
+                u ^= v * rng.getrandbits(1)
+            if not q.eval_bits(u):
+                cases.append((q, vs[:k] + (u,) + vs[k + 1 :], False))
+                q_zero_dims.append(dim)
+                break
+        cases.append((q, vs[:k] + (vs[k] | 1 << dim,) + vs[k + 1 :], False))
+        if dim < 64:
+            cases.append((direct_sum(q, q_one()), vs + (1 << dim,), False))
+    # Every sum can have Q = 1 at small dims: all of H- does.
+    assert len(q_zero_dims) >= 60, q_zero_dims
+    for q, vs, expected in cases:
+        verdict = check_basis(q, vs)
+        assert verdict == is_admissible_basis(q, vs) == expected, (q.to_string(), vs)
+
+
 def test_witness_random_larger_dims():
     rng = random.Random(RNG_SEED + 1)
     found = 0
@@ -125,8 +160,8 @@ def test_decision_paths_never_evaluate_the_form(monkeypatch):
     """classify, normal_form_witness, is_admissible and admissible_witness
     read Q off the symplectic decomposition alone, on hidden forms of two
     seeded classes of form_classes at each dim 0-64.  The references are
-    taken before eval_bits is switched off, because change_basis and
-    check_basis evaluate Q."""
+    taken before eval_bits is switched off, because change_basis evaluates
+    Q."""
     rng = random.Random(RNG_SEED + 5)
     forms = []
     for dim in range(65):

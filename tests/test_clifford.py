@@ -154,6 +154,32 @@ def test_generator_lifts_apply_the_law_once_per_entry(monkeypatch):
         assert pmul.calls == (1 << (n - 1)) - 1, n
 
 
+def test_verify_psi_applies_the_law_only_to_build_the_lifts(monkeypatch):
+    """The verify_psi docstring's cost: the 2^(n-1) - 1 law applications of
+    _generator_lifts and none in the proof, n-1 cocycle rows, and 2^n sign
+    masks for the additivity premise plus one per generator image."""
+    pmul = counted(monkeypatch, GexGroup, "pmul")
+    rows = counted(monkeypatch, GexGroup, "cocycle_row")
+    masks = counted(monkeypatch, clifford, "_sign_mask")
+    generator_lifts = clifford._generator_lifts
+    in_lifts = []
+
+    def lifts_counted(g):
+        before = pmul.calls
+        lift = generator_lifts(g)
+        in_lifts.append(pmul.calls - before)
+        return lift
+
+    monkeypatch.setattr(clifford, "_generator_lifts", lifts_counted)
+    for n in range(2, 11):
+        pmul.calls = rows.calls = masks.calls = 0
+        in_lifts.clear()
+        assert verify_psi(n)
+        assert in_lifts == [pmul.calls] == [(1 << (n - 1)) - 1], n
+        assert rows.calls == n - 1, n
+        assert masks.calls == (1 << n) + n - 1, n
+
+
 def test_psi_generator_images():
     n = 5
     g, images = psi_table(n)
@@ -205,11 +231,14 @@ def psi_per_element(g, x, n):
     return blade(subset, sign ^ eps ^ (lift_product & 1))
 
 
-def psi_all_pairs(n):
+def psi_all_pairs(n, mutant=None):
     """The homomorphism check on all 4^n element pairs, with images built
-    element by element: an independent route to verify_psi's verdict."""
+    element by element, then changed by mutant when one is given: an
+    independent route to verify_psi's verdict."""
     g = from_form(clifford.g0_form(n - 1))
     images = [psi_per_element(g, x, n) for x in range(g.order)]
+    if mutant is not None:
+        images = mutant(images)
     if any((image >> 1).bit_count() % 2 for image in images):
         return False
     # the E(n) law, through the sign mask clifford holds at call time
@@ -235,6 +264,76 @@ def non_additive_sign_mask(s):
     A on the subsets of size 0 and 2 that the generator images use, so only
     the additivity premise can tell it apart."""
     return _sign_mask(s) ^ (s.bit_count() == 4)  # the imported, unpatched A
+
+
+def flip_composite_sign(images):
+    """The sign of the image of e_1 ... e_{n-1}, a composite for n >= 3,
+    flipped on both eps: the images still pair up over the central
+    involution and their vector parts stay linear, so only the signs, step
+    (iv) of verify_psi, can tell."""
+    images = list(images)
+    v = len(images) // 2 - 1  # every one of the n-1 generator bits
+    images[2 * v] ^= 1
+    images[2 * v + 1] ^= 1
+    return images
+
+
+def swap_images(images):
+    """The images of (e_1, 1) and (e_1 e_2, 1) swapped, for n >= 3: still
+    a bijection, and the images of every (v, 0) are untouched, so only the
+    pairing over the central involution, step (i), can tell."""
+    images = list(images)
+    x, y = (0b01 << 1) | 1, (0b11 << 1) | 1
+    images[x], images[y] = images[y], images[x]
+    return images
+
+
+def swap_vector_parts(images):
+    """The vector parts of the images of e_1 e_2 and e_1 e_3 swapped, each
+    sign kept, for n >= 4: still a bijection that pairs up over the central
+    involution, with the signs of the generators untouched, so only the
+    linearity of the vector parts, step (ii), can tell."""
+    images = list(images)
+    for eps in (0, 1):
+        x, y = (0b011 << 1) | eps, (0b101 << 1) | eps
+        px, py = images[x] & ~1, images[y] & ~1
+        images[x], images[y] = py | images[x] & 1, px | images[y] & 1
+    return images
+
+
+def move_central_image(images):
+    """The images of the central involution and of (e_1, 0) swapped: still a
+    bijection, but the central involution no longer goes to -1."""
+    images = list(images)
+    images[1], images[2] = images[2], images[1]
+    return images
+
+
+def drop_e_n(images):
+    """Every image without its factor e_n: the generator map onto the signed
+    products of e_1 ... e_{n-1}, a homomorphism and a bijection onto them,
+    so only the premise that the images are even can tell."""
+    top = len(images)  # 2^n: the bit of e_n, one above the packed sign
+    return [image & ~top for image in images]
+
+
+def test_verify_psi_rejects_image_table_mutants(monkeypatch):
+    """Each mutant changes the image table verify_psi reads; the all-pairs
+    reference checks the same mutant of its own images."""
+    psi_images = clifford._psi_images
+    # (mutant, smallest n it applies to)
+    mutants = [
+        (flip_composite_sign, 3),
+        (swap_images, 3),
+        (swap_vector_parts, 4),
+        (move_central_image, 2),
+        (drop_e_n, 2),
+    ]
+    for mutant, lo in mutants:
+        with monkeypatch.context() as m:
+            m.setattr(clifford, "_psi_images", lambda lift: mutant(psi_images(lift)))
+            verdicts = [(verify_psi(n), psi_all_pairs(n, mutant)) for n in range(lo, 9)]
+        assert verdicts == [(False, False)] * (9 - lo), mutant.__name__
 
 
 def test_psi_table_matches_per_element_images():
@@ -265,7 +364,8 @@ def test_verify_psi_rejects_non_additive_mask_by_the_premise(monkeypatch):
     for n in (4, 5, 9, 12):
         assert not clifford._sign_mask_is_additive(n)
         assert not verify_psi(n)
-    # The generator law checks alone pass: only the premise rejects the mask.
+    # The proof reads A only at the generator images, subsets of size 2, so
+    # it passes alone: only the premise rejects the mask.
     monkeypatch.setattr(clifford, "_sign_mask_is_additive", lambda n: True)
     for n in (4, 5, 9, 12):
         assert verify_psi(n)
