@@ -330,17 +330,20 @@ def test_direct_sum_evaluates_blockwise():
             u = rng.getrandbits(3)
             v = rng.getrandbits(4)
             assert q.eval_bits(u | (v << 3)) == q1.eval_bits(u) ^ q2.eval_bits(v)
-    # Associative with the empty form as identity, so the left fold of the
-    # test helper sum_forms is every bracketing of its summands.
+    # Associative with the empty form as identity.
     a, b, c = h_plus(), q_one(), h_minus()
     assert direct_sum(direct_sum(a, b), c) == direct_sum(a, direct_sum(b, c))
     assert direct_sum(zero_form(0), b) == b == direct_sum(b, zero_form(0))
-    assert sum_forms(a, b, c, zero_form(2)) == direct_sum(
-        direct_sum(a, direct_sum(b, c)), zero_form(2)
-    )
     assert direct_sum(zero_form(63), q_one()).dim == 64
     with pytest.raises(ValueError, match="combined dimension exceeds cap"):
         direct_sum(zero_form(64), q_one())
+
+
+def test_sum_forms_associates():
+    parts = [h_plus(), q_one(), h_minus(), zero_form(2)]
+    assert sum_forms(*parts) == direct_sum(
+        direct_sum(direct_sum(parts[0], parts[1]), parts[2]), parts[3]
+    )
 
 
 def test_isometry_oracle_cap_and_dim_check():
