@@ -211,7 +211,7 @@ def is_invertible(m: BitMatrix) -> bool:
     return rank(m) == m.rows
 
 
-def symplectic_basis(q) -> tuple[list[tuple[int, int]], list[int], int]:
+def symplectic_basis(q, *, vectors=True) -> tuple[list[tuple[int, int]], list[int], int]:
     """Decompose the polar form B_Q of a quadratic form q into hyperbolic
     pairs plus radical.
 
@@ -244,13 +244,16 @@ def symplectic_basis(q) -> tuple[list[tuple[int, int]], list[int], int]:
     take garbage that nothing reads, and v is the lowest alive index, so
     both blocks drop the rows below v and shrink as the decomposition goes
     on.  Costs one transpose and O(n) operations on ints of at most 64^2
-    bits.
+    bits.  ``vectors=False`` builds no u_i, for half the products: each pair
+    comes back (0, 0) and each radical vector 0, with the same lengths and
+    the same ``values``, all that a class-only caller reads.
     """
     n = q.dim
     tc, width, ones, steps, eye = _BLOCK_FOR[n]
     upper = _pack(q.upper, tc)
     x = upper | _transpose(upper, steps)
-    u = eye
+    u = eye if vectors else 0
+    uv = uw = 0
     mask = (1 << width) - 1
     alive = (1 << n) - 1
     qm = q.diag  # Q(u_i) at bit i
@@ -264,7 +267,8 @@ def symplectic_basis(q) -> tuple[list[tuple[int, int]], list[int], int]:
         v = low.bit_length() - 1
         drop = (v - base) * width
         x >>= drop
-        u >>= drop
+        if vectors:
+            u >>= drop
         base = v
         bv = x & mask
         partners = bv & alive
@@ -277,7 +281,8 @@ def symplectic_basis(q) -> tuple[list[tuple[int, int]], list[int], int]:
         w = low.bit_length() - 1
         slot = (w - v) * width
         bw = x >> slot & mask
-        uv, uw = u & mask, u >> slot & mask
+        if vectors:
+            uv, uw = u & mask, u >> slot & mask
         qv, qw = qm >> v & 1, qm >> w & 1
         pair_q |= (qv | qw << 1) << (2 * len(pairs))
         pairs.append((uv, uw))
@@ -292,7 +297,8 @@ def symplectic_basis(q) -> tuple[list[tuple[int, int]], list[int], int]:
         sel_w = x >> w & ones
         sel_v = x >> v & ones
         x ^= sel_w * bv ^ sel_v * bw
-        u ^= sel_w * uv ^ sel_v * uw
+        if vectors:
+            u ^= sel_w * uv ^ sel_v * uw
     return pairs, radical, pair_q | radical_q << (2 * len(pairs))
 
 

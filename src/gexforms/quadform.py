@@ -7,11 +7,11 @@ GF(2)^l is isometric to exactly one of
     H+^m1 (+) 0^m2        H- (+) H+^(m1-1) (+) 0^m2        H+^m1 (+) Q1 (+) 0^(m2-1)
 
 with 2*m1 + m2 = l, plus the zero form; ``form_classes`` lists them per
-dimension.  ``_normal_basis`` decides which from one symplectic
-decomposition, a rank-two update of a packed B_Q block per hyperbolic pair,
-and is the one place that lays out the standard basis: H- first, then H+
-blocks, then Q1, then zeros.  ``classify`` returns its class
-and ``normal_form_witness`` its change of basis.  ``isometry_oracle`` reads
+dimension.  ``classify`` decides which from one symplectic decomposition,
+a rank-two update of a packed B_Q block per hyperbolic pair, that builds no
+basis vector.  ``normal_form_witness`` takes its change of basis from
+``_normal_basis``, the one place that lays out the standard basis: H-
+first, then H+ blocks, then Q1, then zeros.  ``isometry_oracle`` reads
 GL(n) and its action from the table f2linalg builds once per n.
 """
 
@@ -270,6 +270,16 @@ def form_classes(dim: int) -> tuple[FormClass, ...]:
     return tuple(classes)
 
 
+def _form_class(dim: int, m1: int, values: int) -> FormClass:
+    """The class of a form on GF(2)^dim whose symplectic decomposition has m1
+    pairs and Q on its output vectors in ``values``, by _normal_basis's rules."""
+    minus = values & values >> 1 & (4**m1 - 1) // 3  # pairs with Q(a) = Q(b) = 1
+    kind = Kind.MINUS if minus.bit_count() & 1 else Kind.PLUS if m1 else Kind.ZERO
+    if values >> 2 * m1:  # Q is nonzero on the radical
+        kind = Kind.QONE
+    return FormClass(dim, m1, kind, dim - 2 * m1)
+
+
 def _normal_basis(q: QuadraticForm) -> tuple[FormClass, list[int]]:
     """The class of q and the columns of a witness T onto standard_form of it.
 
@@ -277,19 +287,20 @@ def _normal_basis(q: QuadraticForm) -> tuple[FormClass, list[int]]:
     blocks, then Q1, then zeros.  One ``symplectic_basis`` call gives the
     pairs, the radical and Q on each of them, so no Q is evaluated: one
     transpose and O(n) operations on ints of at most 64^2 bits at dim n.
+    ``_form_class`` reads the class off the same call, by these rules:
     - A pair (a, b) with Q(a) = Q(b) = 1 spans an H- plane and is kept; every
       other pair is rewritten to an H+ pair (a', b'), Q(a') = Q(b') = 0.
     - Two H- planes (a1, b1), (a2, b2) span H+ (+) H+, with the pairs
       (a1 + s2, b1 + s2) and (a2 + s1, b2 + s1), s_i = a_i + b_i.  So the Arf
       invariant is the parity of the H- planes, and at most one is left over:
-      the class is Minus when one is, else Plus, or Zero when there is no
-      pair at all.
+      the class is Minus when one is, else Plus, or Zero with no pair at all.
     - Q restricted to the radical is linear, so its basis values decide it.
       If Q is nonzero there, the class is QOne: r1 is the first radical
       vector with Q(r1) = 1, r1 is added to the other such vectors and to
       the leftover H- plane, which becomes an H+ plane.
     """
     pairs, radical, values = symplectic_basis(q)
+    fc = _form_class(q.dim, len(pairs), values)
     minus: list[int] = []  # columns, two per plane
     plus: list[int] = []
     for a, b in pairs:
@@ -308,7 +319,6 @@ def _normal_basis(q: QuadraticForm) -> tuple[FormClass, list[int]]:
         s1, s2 = a1 ^ b1, a2 ^ b2
         plus[:0] = (a1 ^ s2, b1 ^ s2, a2 ^ s1, b2 ^ s1)
     lead = minus[-2:] if len(minus) % 4 else []
-    kind = Kind.MINUS if lead else Kind.PLUS if pairs else Kind.ZERO
     if values:  # Q on the radical, at bit i for radical[i]
         idx = (values & -values).bit_length() - 1
         r1 = radical[idx]
@@ -316,15 +326,14 @@ def _normal_basis(q: QuadraticForm) -> tuple[FormClass, list[int]]:
         radical = [r1] + [
             r ^ r1 if values >> i & 1 else r for i, r in enumerate(radical) if i != idx
         ]
-        kind = Kind.QONE
-    m1 = len(pairs)
-    return FormClass(q.dim, m1, kind, q.dim - 2 * m1), lead + plus + radical
+    return fc, lead + plus + radical
 
 
 def classify(q: QuadraticForm) -> FormClass:
     """Normal-form descriptor of q (complete isometry invariant), as
-    ``_normal_basis`` decides it: one symplectic decomposition."""
-    return _normal_basis(q)[0]
+    ``_normal_basis`` decides it, from a decomposition that builds no vector."""
+    pairs, _, values = symplectic_basis(q, vectors=False)
+    return _form_class(q.dim, len(pairs), values)
 
 
 def standard_form(fc: FormClass) -> QuadraticForm:

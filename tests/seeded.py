@@ -53,13 +53,15 @@ def _replace(monkeypatch, owner, name, replacement):
 
 def counted(monkeypatch, owner, name):
     """Count the calls of owner.name in the library; the test reads and
-    resets the returned counter's ``calls``."""
-    counter = types.SimpleNamespace(calls=0)
+    resets the returned counter's ``calls``, and its ``class_only``: the
+    calls among them that passed ``vectors=False``."""
+    counter = types.SimpleNamespace(calls=0, class_only=0)
     fn = getattr(owner, name)
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         counter.calls += 1
-        return fn(*args)
+        counter.class_only += kwargs.get("vectors") is False
+        return fn(*args, **kwargs)
 
     _replace(monkeypatch, owner, name, wrapper)
     return counter
@@ -68,7 +70,7 @@ def counted(monkeypatch, owner, name):
 def forbid(monkeypatch, owner, name, message):
     """Make every call of owner.name in the library raise AssertionError(message)."""
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         raise AssertionError(message)
 
     _replace(monkeypatch, owner, name, wrapper)

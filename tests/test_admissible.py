@@ -16,6 +16,7 @@ from gexforms.quadform import (
     FormClass,
     Kind,
     QuadraticForm,
+    _normal_basis,
     all_forms,
     change_basis,
     classify,
@@ -214,7 +215,10 @@ def test_user_path_makes_the_decompositions_and_transposes_of_its_docstrings(
     _normal_basis.  Each witness passes one full rank check: the Isometry of
     normal_form_witness and the check of admissible_witness, 2 rank calls.
     Every transpose goes through f2linalg._transpose, and each module
-    imports symplectic_basis and rank by name, so each binding is counted."""
+    imports symplectic_basis and rank by name, so each binding is counted.
+    4 of the 6 decompositions are class-only (``vectors=False``), one per
+    classify call, direct or through is_admissible, and 2 build vectors:
+    _normal_basis in normal_form_witness and in admissible_witness."""
     rng = random.Random(RNG_SEED + 9)
     forms = [
         hidden_form(fc, rng)
@@ -230,28 +234,31 @@ def test_user_path_makes_the_decompositions_and_transposes_of_its_docstrings(
     ]
     for q in forms:
         for counter in counters:
-            counter.calls = 0
+            counter.calls = counter.class_only = 0
         classify(q)
         normal_form_witness(q)
         assert is_admissible(q)
         admissible_witness(q)
         assert [c.calls for c in counters] == [6, 7, 2], q.to_string()
+        class_only = counters[0].class_only
+        assert [class_only, counters[0].calls - class_only] == [4, 2], q.to_string()
 
 
 def test_every_class_behind_a_hidden_basis():
     """Every class at dims 0-16 and at dim 64, its standard form hidden
-    behind a seeded random basis: classify finds the class, the witness
-    carries the form back onto the standard form, and the verdict follows
-    the theorem's table with a basis that check_basis accepts.  At dims
-    0-12 the definition-level oracle gives the same verdict, and its bases
-    pass check_basis too."""
+    behind a seeded random basis: classify finds the class, as _normal_basis
+    does from its full decomposition, the witness carries the form back
+    onto the standard form, and the verdict follows the theorem's table
+    with a basis that check_basis accepts.  At dims 0-12 the
+    definition-level oracle gives the same verdict, and its bases pass
+    check_basis too."""
     rng = random.Random(RNG_SEED + 6)
     dims = [*range(17), 64]
     classes = [fc for dim in dims for fc in form_classes(dim)]
     assert len(classes) == 217 + 97
     for fc in classes:
         q = hidden_form(fc, rng)
-        assert classify(q) == fc, q.to_string()
+        assert classify(q) == _normal_basis(q)[0] == fc, q.to_string()
         t = normal_form_witness(q).map
         assert change_basis(q, t) == standard_form(fc), q.to_string()
         expected = _theorem_admissible(fc)

@@ -336,6 +336,57 @@ def test_verify_psi_rejects_image_table_mutants(monkeypatch):
         assert verdicts == [(False, False)] * (9 - lo), mutant.__name__
 
 
+def move_last_lift(lift):
+    """The lift of e_1 ... e_{n-1} moved onto the vector without e_1, its
+    sign kept: _psi_images reads only the index and the sign of a lift, so
+    the image table is unchanged, and only the premise that every lift lies
+    over its vector can tell."""
+    lift = list(lift)
+    lift[-1] ^= 0b10  # bit 0 of the vector, one above the packed sign
+    return lift
+
+
+def collapse_central_product(images):
+    """psi followed by the projection of the model onto its elements
+    without e_{n-1}, along z = (e_1 ... e_{n-1}, 0), for n divisible by 4,
+    where z is a central involution outside them: each image of the coset of e_{n-1}
+    times psi(z).  Still a homomorphism that sends the central involution to
+    -1, so (i)-(iv) hold, but z shares the image of the identity, and only
+    the premise that the images are distinct can tell."""
+    half = len(images) // 2  # below it, the packed elements without e_{n-1}
+    z = images[-2]
+    return images[:half] + [mul(image, z) for image in images[half:]]
+
+
+def test_verify_psi_rejects_a_lift_off_its_vector(monkeypatch):
+    generator_lifts = clifford._generator_lifts
+    monkeypatch.setattr(
+        clifford, "_generator_lifts", lambda g: move_last_lift(generator_lifts(g))
+    )
+    for n in range(2, 13):
+        g, images = psi_table(n)
+        assert _psi_images(clifford._generator_lifts(g)) == images, n
+        assert not verify_psi(n), n
+
+
+def test_verify_psi_rejects_a_homomorphism_that_repeats_images(monkeypatch):
+    for n in (4, 8):
+        g, images = psi_table(n)
+        collapsed = collapse_central_product(images)
+        assert len(set(collapsed)) == g.order // 2, n
+        assert all(
+            collapsed[g.pmul(x, y)] == mul(collapsed[x], collapsed[y])
+            for x in range(g.order)
+            for y in range(g.order)
+        ), n
+    psi_images = clifford._psi_images
+    monkeypatch.setattr(
+        clifford, "_psi_images", lambda lift: collapse_central_product(psi_images(lift))
+    )
+    for n in (4, 8, 12, 16):
+        assert not verify_psi(n), n
+
+
 def test_psi_table_matches_per_element_images():
     for n in range(2, 13):
         g, images = psi_table(n)

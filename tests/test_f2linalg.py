@@ -331,6 +331,19 @@ def test_symplectic_matches_reference_bit_for_bit():
         assert symplectic_basis(q)[:2] == expected, q.to_string()
 
 
+def test_class_only_decomposition_matches_the_full_call():
+    """vectors=False keeps the return shape of the full call, with every
+    pair (0, 0) and every radical vector 0, and its number of pairs and its
+    values, on forms of every dim 0-64, the degenerate ones included."""
+    for q in _reference_corpus():
+        pairs, radical, values = symplectic_basis(q)
+        assert symplectic_basis(q, vectors=False) == (
+            [(0, 0)] * len(pairs),
+            [0] * len(radical),
+            values,
+        ), q.to_string()
+
+
 def test_symplectic_values_match_eval_bits():
     """Bit j of values is Q of the j-th output vector: a_1, b_1, ..., a_m,
     b_m, then the radical in order."""

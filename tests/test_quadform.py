@@ -24,6 +24,7 @@ from gexforms.quadform import (
     Isometry,
     Kind,
     QuadraticForm,
+    _normal_basis,
     all_forms,
     change_basis,
     classify,
@@ -249,9 +250,13 @@ def test_classify_kind_matches_arf_sum():
 
 
 def test_standard_form_round_trips_through_classify():
+    """On every form up to dim 4, classify's class-only decomposition gives
+    the class that _normal_basis reads off the full one, and the standard
+    form of that class classifies as it."""
     for dim in range(5):
         for q in all_forms(dim):
             fc = classify(q)
+            assert _normal_basis(q)[0] == fc, q.to_string()
             assert classify(standard_form(fc)) == fc
 
 
