@@ -3,14 +3,14 @@
 A form is admissible when it has a basis of vectors that all take value 1 and
 none of which is B_Q-isolated within the basis.  The fast path reads the
 verdict off the classification; the constructive path builds an explicit
-basis; the definition-level path walks GF(2)^n greedily for a basis and
-serves as the independent oracle.
+basis; the definition-level path walks GF(2)^n greedily for a basis, on a
+packed table of Q, and serves as the independent oracle.
 """
 
 from __future__ import annotations
 
-from .f2linalg import BitMatrix, _row_image, is_invertible
-from .quadform import FormClass, Kind, QuadraticForm, _normal_basis, classify
+from .f2linalg import BitMatrix, _coordinate_masks, _row_image, _translate, is_invertible
+from .quadform import FormClass, Kind, QuadraticForm, _normal_basis, _value_bits, classify
 
 
 def check_basis(q: QuadraticForm, vs: tuple[int, ...]) -> bool:
@@ -91,7 +91,7 @@ def admissible_witness(q: QuadraticForm) -> tuple[int, ...] | None:
 
 def is_admissible_bruteforce(q: QuadraticForm) -> tuple[int, ...] | None:
     """An admissible basis straight from the definition, as packed vectors, or
-    None.  Calls neither classify nor symplectic_basis.
+    None.  Calls neither classify, symplectic_basis nor polar.
 
     Lemma: let S be a basis of GF(2)^n and v in S with B_Q(v, .) != 0.  Since
     S spans, B_Q(v, s) = 1 for some s in S, and s != v as B_Q(v, v) = 0.  So
@@ -99,8 +99,10 @@ def is_admissible_bruteforce(q: QuadraticForm) -> tuple[int, ...] | None:
     (P(v) the polar row image) span GF(2)^n, and then every basis drawn from
     them is admissible.  The walk is the greedy algorithm of that linear
     matroid: it takes v in increasing order and keeps each such v that is
-    independent of those kept so far, until it has n.  Q is read from
-    ``value_table``, so this raises ValueError above VALUE_TABLE_DIM_CAP.
+    independent of those kept so far, until it has n.  On the packed table
+    _value_bits(q), with its cap: n translates mark P(v) != 0, as B_Q(e_j, v)
+    = Q(v + e_j) + Q(v) + Q(e_j), and each of at most n steps keeps the
+    lowest candidate v outside the span mask, then ORs in that mask moved by v.
 
     The basis is the lexicographically first admissible one, which a
     backtracking search over the candidates in increasing order would find:
@@ -109,21 +111,17 @@ def is_admissible_bruteforce(q: QuadraticForm) -> tuple[int, ...] | None:
     greedy path, whose leaf is an admissible basis.
     """
     n = q.dim
-    values = q.value_table
-    polar = q.polar().data
-    basis: list[int] = []
-    echelon: list[tuple[int, int]] = []  # (pivot bit, reduced vector) pairs
-    for v in range(1, 1 << n):
-        if not values[v]:
-            continue
-        red = v
-        for pivot, e in echelon:
-            if red & pivot:
-                red ^= e
-        # P(v) last: it is computed only for the independent candidates.
-        if red and _row_image(polar, v):
-            basis.append(v)
-            if len(basis) == n:
-                return tuple(basis)
-            echelon.append((1 << (red.bit_length() - 1), red))
+    values = _value_bits(q)
+    xs = _coordinate_masks(n)
+    nonzero = 0  # P(v) != 0 at bit v; Q(e_j) = 1 flips every bit, as XOR with -1
+    for j in range(n):
+        nonzero |= _translate(values, 1 << j, xs) ^ values ^ -(q.diag >> j & 1)
+    candidates = values & nonzero
+    basis, span = [], 1  # span: the span of basis as a mask, {0} at first
+    while free := candidates & ~span:
+        v = (free & -free).bit_length() - 1
+        basis.append(v)
+        if len(basis) == n:
+            return tuple(basis)
+        span |= _translate(span, v, xs)
     return None

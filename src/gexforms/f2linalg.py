@@ -43,6 +43,28 @@ def _span(rows) -> list[int]:
     return table
 
 
+@lru_cache(maxsize=None)
+def _coordinate_masks(n: int) -> tuple[int, ...]:
+    """X_i, i < n, as 2^n-bit ints: bit v of X_i is bit i of v.  v + 2^i flips
+    bit i + 1 iff bit i is set, so X_i = X_{i+1} ^ (X_{i+1} >> 2^i) from all
+    ones.  Cached: 2.5 MiB at n = 20."""
+    masks = [(1 << (1 << n)) - 1]
+    for i in reversed(range(n)):
+        masks.append(masks[-1] ^ masks[-1] >> (1 << i))
+    return tuple(masks[:0:-1])
+
+
+def _translate(x: int, v: int, masks) -> int:
+    """Bit u of the result is bit u ^ v of the 2^n-bit x, for masks =
+    _coordinate_masks(n): per set bit j of v, two shifts and two ANDs with X_j."""
+    while v:
+        s = v & -v
+        xj = masks[s.bit_length() - 1]
+        x = (x & xj) >> s | (x << s) & xj
+        v ^= s
+    return x
+
+
 def _block(w: int) -> tuple[str, int, int, tuple[tuple[int, int], ...], int]:
     """(array typecode, w, slot ones, delta swaps, identity) for a w x w bit
     block.

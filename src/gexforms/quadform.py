@@ -26,10 +26,10 @@ from .f2linalg import (
     GL_DIM_CAP,
     MAX_DIM,
     BitMatrix,
+    _coordinate_masks,
     _gl_actions,
     _parity,
     _row_image,
-    _span,
     _transpose_rows,
     is_invertible,
     symplectic_basis,
@@ -73,23 +73,10 @@ class QuadraticForm:
 
     @cached_property
     def value_table(self) -> tuple[int, ...]:
-        """Q(v) for every v in 0..2^dim-1, by eval_bits' formula; raises
-        ValueError above VALUE_TABLE_DIM_CAP, before any entry is built.
-
-        The row image of v = hi * 2^h + lo is low[lo] ^ high[hi], read from
-        the span tables of the low h rows of ``upper`` and of the rest, so
-        only 2^h + 2^(dim-h) row images are alive beside the tuple, not 2^dim.
-        """
-        if self.dim > VALUE_TABLE_DIM_CAP:
-            raise ValueError(f"value table capped at dimension {VALUE_TABLE_DIM_CAP}")
-        h = (self.dim + 1) // 2
-        low = _span(self.upper[:h])
-        high = [self.diag ^ u for u in _span(self.upper[h:])]
-        return tuple(
-            ((d ^ u) & v).bit_count() & 1
-            for hi, d in enumerate(high)
-            for v, u in enumerate(low, hi << h)
-        )
+        """Q(v) for every v < 2^dim: _value_bits, with its cap, unpacked once at
+        C level through strings of 2^dim bytes, reversed so digit v is Q(v)."""
+        bits = format(_value_bits(self), f"0{1 << self.dim}b")[::-1]
+        return tuple(bits.encode().translate(bytes.maketrans(b"01", b"\0\1")))
 
     def is_zero_form(self) -> bool:
         return self.diag == 0 and not any(self.upper)
@@ -117,6 +104,19 @@ class QuadraticForm:
             for j in range(i + 1, self.dim)
         )
         return f"l={self.dim};d={d};u={u}"
+
+
+def _value_bits(q: QuadraticForm) -> int:
+    """Q(v) at bit v for every v < 2^dim; raises ValueError above the cap first.
+    Q(v) = sum_i diag_i v_i + sum_i v_i sum_{j>i} b_ij v_j: the coordinate
+    masks X_j of the diag bits, then X_i & (X_j over upper[i]), O(dim^2) ops."""
+    if q.dim > VALUE_TABLE_DIM_CAP:
+        raise ValueError(f"value table capped at dimension {VALUE_TABLE_DIM_CAP}")
+    xs = _coordinate_masks(q.dim)
+    acc = _row_image(xs, q.diag)  # X_i & X_i = X_i
+    for x, row in zip(xs, q.upper):
+        acc ^= x & _row_image(xs, row)
+    return acc
 
 
 # Canonical decimal, the one spelling of a number the library reads: int()
@@ -370,17 +370,16 @@ def isometry_oracle(q: QuadraticForm, q2: QuadraticForm) -> Isometry | None:
     its action on GF(2)^dim once per dim, so each candidate costs one
     itemgetter gather of q2's value table, compared with q's.  An isometry
     permutes GF(2)^dim, so forms with different numbers of vectors of value
-    1 are told apart by that count before the loop.
+    1 are told apart by the bit count of _value_bits before any table is read.
     """
     if q.dim != q2.dim:
         raise ValueError("oracle requires equal dimensions")
     n = q.dim
     if n > ORACLE_DIM_CAP:
         raise ValueError(f"oracle capped at dimension {ORACLE_DIM_CAP}")
-    t1 = q.value_table
-    t2 = q2.value_table
-    if sum(t1) != sum(t2):
+    if _value_bits(q).bit_count() != _value_bits(q2).bit_count():
         return None
+    t1, t2 = q.value_table, q2.value_table
     # change_basis(q2, t) == q  <=>  q2(Tv) == q(v) for all v
     for t, pull in _gl_actions(n):
         if pull(t2) == t1:

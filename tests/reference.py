@@ -50,6 +50,31 @@ def is_admissible_basis(q, vs) -> bool:
     return all(any(polarization(q, v, w) for w in vs) for v in vs)
 
 
+def greedy_admissible_basis(q):
+    """The first q.dim vectors kept by a walk over v = 1 .. 2^dim - 1 in
+    increasing order, or None: v is kept when Q(v) = 1 by ``q.eval_bits``,
+    B_Q(e_j, v) = 1 by ``polarization`` for some j, and v is independent of
+    the vectors kept so far.  The greedy walk of the admissibility oracle,
+    one vector at a time."""
+    n = q.dim
+    basis = []
+    pivots = {}  # leading bit -> a kept vector, reduced, with that leading bit
+    for v in range(1, 1 << n):
+        if not q.eval_bits(v):
+            continue
+        if not any(polarization(q, 1 << j, v) for j in range(n)):
+            continue
+        red = v
+        while red and red.bit_length() in pivots:
+            red ^= pivots[red.bit_length()]
+        if red:
+            pivots[red.bit_length()] = red
+            basis.append(v)
+            if len(basis) == n:
+                return tuple(basis)
+    return None
+
+
 def cocycle_law(q, x: int, y: int) -> int:
     """(u, eps)(v, delta) = (u + v, eps + delta + u^T M v) on the packed
     (u << 1) | eps, with M_ii = Q(e_i) from ``q.diag`` and M_ij = b_ij from

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gexforms import f2linalg
+from gexforms import f2linalg, quadform
 from gexforms.f2linalg import _row_image
 from gexforms.admissible import (
     _standard_basis,
@@ -31,7 +31,7 @@ from gexforms.quadform import (
     zero_form,
 )
 
-from reference import is_admissible_basis, matvec_bits
+from reference import greedy_admissible_basis, is_admissible_basis, matvec_bits
 from seeded import RNG_SEED, counted, forbid, hidden_form, random_invertible, sum_forms
 
 
@@ -277,14 +277,17 @@ def test_every_class_behind_a_hidden_basis():
 
 
 def test_bruteforce_at_the_value_table_cap():
-    """One admissible and one non-admissible class at dim 20, the oracle's
-    cap, each behind a seeded random basis: the oracle agrees with the
-    theorem's table, and its basis passes check_basis."""
+    """Every one of the 31 classes at dim 20, the oracle's cap, each behind a
+    seeded random basis: the oracle agrees with is_admissible and with the
+    theorem's table, and each basis passes check_basis."""
     assert VALUE_TABLE_DIM_CAP == 20
     rng = random.Random(RNG_SEED + 7)
-    for fc in (FormClass(20, 3, Kind.MINUS, 14), FormClass(20, 1, Kind.QONE, 18)):
+    classes = form_classes(VALUE_TABLE_DIM_CAP)
+    assert len(classes) == 31
+    for fc in classes:
         q = hidden_form(fc, rng)
         basis = is_admissible_bruteforce(q)
+        assert is_admissible(q) is _theorem_admissible(fc), q.to_string()
         if _theorem_admissible(fc):
             assert check_basis(q, basis), q.to_string()
         else:
@@ -422,6 +425,29 @@ def test_bruteforce_matches_reference_search():
         assert basis == _reference_bruteforce(q), q.to_string()
         found += basis is not None
     assert 0 < found < len(forms)
+
+
+def test_bruteforce_returns_the_greedy_walk_bit_for_bit(monkeypatch):
+    """The packed walk returns the basis of the walk one vector at a time,
+    reference.greedy_admissible_basis, or None with it: every form of dims
+    0-4, every class at dims 5-12 behind a seeded random basis, and random
+    forms padded with zero coordinates below and above.  It calls neither
+    classify, symplectic_basis nor polar."""
+    rng = random.Random(RNG_SEED + 11)
+    forms = [q for dim in range(5) for q in all_forms(dim)]
+    forms += [hidden_form(fc, rng) for dim in range(5, 13) for fc in form_classes(dim)]
+    for m in range(1, 7):
+        for z in range(1, 5):
+            q = random_form(m, rng)
+            forms += [direct_sum(q, zero_form(z)), direct_sum(zero_form(z), q)]
+    expected = [greedy_admissible_basis(q) for q in forms]
+    assert 0 < sum(b is not None for b in expected) < len(forms)
+
+    forbid(monkeypatch, quadform, "classify", "the oracle classified the form")
+    forbid(monkeypatch, f2linalg, "symplectic_basis", "the oracle decomposed B_Q")
+    forbid(monkeypatch, QuadraticForm, "polar", "the oracle built the polar matrix")
+    for q, basis in zip(forms, expected):
+        assert is_admissible_bruteforce(q) == basis, q.to_string()
 
 
 def test_bruteforce_is_deterministic():

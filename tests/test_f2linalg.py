@@ -6,7 +6,9 @@ import pytest
 from gexforms import f2linalg
 from gexforms.f2linalg import (
     BitMatrix,
+    _coordinate_masks,
     _gl_actions,
+    _translate,
     _transpose_rows,
     invertible_matrices,
     is_invertible,
@@ -164,6 +166,20 @@ def test_transpose_rows_matches_reference_on_every_shape():
                 got = _transpose_rows(data, cols)
                 assert got == _reference_transpose_rows(data, cols), (rows, cols)
                 assert type(got) is list
+
+
+def test_coordinate_masks_and_translate_match_their_definitions():
+    """Bit v of X_i is bit i of v, and bit u of the translate by v is bit
+    u ^ v of the table: every v at n = 0..8, on a seeded table per v."""
+    rng = random.Random(29)
+    for n in range(9):
+        vs = range(1 << n)
+        masks = _coordinate_masks(n)
+        assert masks == tuple(sum(1 << v for v in vs if v >> i & 1) for i in range(n))
+        for v in vs:
+            x = rng.getrandbits(1 << n)
+            moved = sum((x >> (u ^ v) & 1) << u for u in vs)
+            assert _translate(x, v, masks) == moved, (n, v)
 
 
 def test_is_invertible():

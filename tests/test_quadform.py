@@ -25,6 +25,7 @@ from gexforms.quadform import (
     Kind,
     QuadraticForm,
     _normal_basis,
+    _value_bits,
     all_forms,
     change_basis,
     classify,
@@ -395,8 +396,9 @@ def _reference_oracle(q, q2):
 
 def test_span_table_and_value_table_match_their_definitions():
     """_span(rows)[v] is _row_image(rows, v) for every v, k = 0..12 rows, and
-    value_table[v] is eval_bits(v): every form of dim <= 4, seeded forms at
-    dims 5-14."""
+    bit v of _value_bits and value_table[v] are eval_bits(v) at every v:
+    every form of dim <= 4, seeded forms at dims 5-14, and one seeded form
+    at each dim 15-20, the last at the cap."""
     rng = random.Random(RNG_SEED + 13)
     assert _span([]) == [0]
     for k in range(13):
@@ -404,15 +406,22 @@ def test_span_table_and_value_table_match_their_definitions():
         assert _span(rows) == [_row_image(rows, v) for v in range(1 << k)], k
     forms = [q for dim in range(5) for q in all_forms(dim)]
     forms += [random_form(dim, rng) for dim in range(5, 15) for _ in range(3)]
+    forms += [random_form(dim, rng) for dim in range(15, VALUE_TABLE_DIM_CAP + 1)]
     for q in forms:
-        assert q.value_table == tuple(q.eval_bits(v) for v in range(1 << q.dim))
+        size = 1 << q.dim
+        expected = tuple(map(q.eval_bits, range(size)))
+        packed = _value_bits(q).to_bytes(max(1, size // 8), "little")
+        bits = tuple(byte >> k & 1 for byte in packed for k in range(8))
+        assert bits[:size] == expected and not any(bits[size:]), q.to_string()
+        assert q.value_table == expected, q.to_string()
 
 
 def test_value_table_peak_is_about_its_tuple():
-    """At dim 16 value_table keeps only the span tables of the two halves of
-    ``upper`` beside the tuple it builds, not a 2^16-entry span table: the
-    traced peak stays within twice the tuple's size, and the table is still
-    eval_bits entry by entry."""
+    """At dim 16 value_table keeps only the packed 2^16-bit int of
+    _value_bits and the strings of its one unpack beside the tuple it
+    builds, never a 2^16-entry list of ints: the traced peak stays within
+    twice the tuple's size, and the table is still eval_bits entry by
+    entry."""
     q = random_form(16, random.Random(RNG_SEED + 14))
     tracemalloc.start()
     try:
@@ -426,13 +435,15 @@ def test_value_table_peak_is_about_its_tuple():
 
 def test_value_table_cap_raises_before_building(monkeypatch):
     """At dim VALUE_TABLE_DIM_CAP + 1 the table would hold 2^21 entries; the
-    cap must refuse before Q is evaluated even once or a span table is built."""
+    cap must refuse before Q is evaluated even once, or a span table or the
+    coordinate masks are built."""
     assert VALUE_TABLE_DIM_CAP == 20
     rng = random.Random(RNG_SEED + 12)
     q = random_form(VALUE_TABLE_DIM_CAP + 1, rng)
 
     forbid(monkeypatch, QuadraticForm, "eval_bits", "value_table evaluated the form")
-    forbid(monkeypatch, quadform, "_span", "value_table built the span table")
+    forbid(monkeypatch, f2linalg, "_span", "value_table built the span table")
+    forbid(monkeypatch, f2linalg, "_coordinate_masks", "value_table built the masks")
     with pytest.raises(ValueError, match="value table capped at dimension 20"):
         q.value_table
 
