@@ -331,10 +331,14 @@ def _gl_actions(n: int) -> tuple[tuple[BitMatrix, itemgetter], ...]:
     (|GL(4, GF(2))| = 20160), and raises above it before building anything.
 
     The column prefixes grow level by level, each by the vectors outside the
-    span table of its columns, in increasing order.  Each T is built once
-    from its columns, and pull(table) is the tuple table[Tv] for v =
-    0..2^n-1, gathered through the span table of the same columns.  Cached,
-    so the table and its action are built once per n.
+    span table of its columns, in increasing order.  So for n >= 2 the
+    matrices with first column c0 are one block of size1 = |GL(n)|/(2^n - 1)
+    entries at (c0 - 1) * size1, and those with first columns (c0, c1) a
+    sub-block of size2 = size1/(2^n - 2) entries at (c1 - 1 - [c1 > c0]) *
+    size2 inside it; isometry_oracle skips blocks by this layout.  Each T is
+    built once from its columns, and pull(table) is the tuple table[Tv] for
+    v = 0..2^n-1, gathered through the span table of the same columns.
+    Cached, so the table and its action are built once per n.
     """
     if n > GL_DIM_CAP:
         raise ValueError(f"invertible-matrix enumeration capped at n = {GL_DIM_CAP}")

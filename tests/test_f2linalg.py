@@ -236,6 +236,27 @@ def test_gl_table_transposes_each_matrix_once(monkeypatch):
         invertible_matrices(5)
 
 
+def test_gl_table_blocks_sit_where_their_first_columns_say():
+    """The layout isometry_oracle indexes, n = 0..4: the T at index i of
+    _gl_actions(n), with first columns c0 = Te_0 and c1 = Te_1, lies in the
+    block of size1 = |GL(n)|/(2^n - 1) entries at (c0 - 1) * size1, and for
+    n >= 2 in its sub-block of size2 = size1/(2^n - 2) entries at
+    (c1 - 1 - [c1 > c0]) * size2."""
+    assert len(_gl_actions(0)) == 1
+    for n in range(1, 5):
+        table = _gl_actions(n)
+        size1, rest = divmod(len(table), (1 << n) - 1)
+        assert rest == 0, n
+        for i, (t, _) in enumerate(table):
+            c0, c1 = matvec_bits(t, 1), matvec_bits(t, 2)
+            start = (c0 - 1) * size1
+            assert start <= i < start + size1, (n, i)
+            if n >= 2:
+                size2 = size1 // ((1 << n) - 2)
+                start += (c1 - 1 - (c1 > c0)) * size2
+                assert start <= i < start + size2, (n, i)
+
+
 def test_symplectic_zero_form():
     pairs, radical, values = symplectic_basis(zero_form(3))
     assert pairs == []

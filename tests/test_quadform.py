@@ -43,7 +43,7 @@ from gexforms.quadform import (
 )
 
 from reference import bilinear, matvec_bits, polarization
-from seeded import RNG_SEED, forbid, random_invertible, sum_forms
+from seeded import RNG_SEED, forbid, hidden_form, random_invertible, sum_forms
 
 
 def forms_strategy(max_dim=5):
@@ -450,7 +450,9 @@ def test_value_table_cap_raises_before_building(monkeypatch):
 
 def test_oracle_matches_matvec_loop():
     """Same witness matrix (or None) as the per-vector loop: every ordered
-    pair at dims 0-3, and 30 seeded dim-4 pairs, half of them isometric."""
+    pair at dims 0-3, 30 seeded dim-4 pairs, half of them isometric, and
+    every ordered pair of the 7 dim-4 classes, each behind one seeded hidden
+    basis (49 pairs; about 1 s, most of it the reference loop)."""
 
     def witness(q, q2):
         w = isometry_oracle(q, q2)
@@ -469,6 +471,11 @@ def test_oracle_matches_matvec_loop():
         else:
             q2 = random_form(4, rng)
         assert witness(q, q2) == _reference_oracle(q, q2)
+    hidden = [hidden_form(fc, rng) for fc in form_classes(4)]
+    assert len(hidden) == 7
+    for q in hidden:
+        for q2 in hidden:
+            assert witness(q, q2) == _reference_oracle(q, q2), (q, q2)
 
 
 def test_gl_actions_pull_a_tuple_per_vector():
@@ -590,3 +597,46 @@ def test_classification_check_names_a_class_missing_from_the_grid(monkeypatch):
     ok, detail = verify.check_classification_complete()
     assert not ok
     assert detail == "classify and form_classes differ at dim 3: H+ + Q1"
+
+
+def test_classification_check_pulls_6682_value_tables(monkeypatch):
+    """isometry_oracle's docstring: the form-classification-complete check
+    makes 6,682 pulls of a value table through _gl_actions, one per matrix
+    of the blocks whose first two columns agree with both forms at e_0, e_1
+    and e_0 + e_1 (a walk of every matrix makes 57,766)."""
+    pulls = 0
+
+    def counted_pull(pull):
+        def wrapper(table):
+            nonlocal pulls
+            pulls += 1
+            return pull(table)
+
+        return wrapper
+
+    tables = {
+        n: tuple((t, counted_pull(pull)) for t, pull in f2linalg._gl_actions(n))
+        for n in range(4)
+    }
+    monkeypatch.setattr(quadform, "_gl_actions", tables.__getitem__)
+    assert verify.check_classification_complete() == (True, "2120 form pairs")
+    assert pulls == 6682
+
+
+def test_classification_check_names_the_first_oracle_disagreement(monkeypatch):
+    """check_classification_complete fails at the first pair where the oracle
+    and classify disagree: an oracle that never finds an isometry at the
+    zero form of dim 0 against itself, and one that always returns the
+    identity at the first dim-1 pair of different classes."""
+    monkeypatch.setattr(quadform, "isometry_oracle", lambda q, q2: None)
+    assert verify.check_classification_complete() == (
+        False,
+        "disagreement at l=0;d=;u= vs l=0;d=;u=",
+    )
+    monkeypatch.setattr(
+        quadform, "isometry_oracle", lambda q, q2: Isometry(BitMatrix.identity(q.dim))
+    )
+    assert verify.check_classification_complete() == (
+        False,
+        "disagreement at l=1;d=0;u= vs l=1;d=1;u=",
+    )
