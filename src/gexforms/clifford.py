@@ -8,53 +8,46 @@ one flip per generator squared (each generator squares to -1).
 
 That count is bilinear in the two subsets.  Moving e_j of t to the left past
 s costs one transposition per i in s with i > j, and one more flip if j is in
-s itself, so e_j contributes the parity of #{i in s : i >= j}.  Bit j of the
-mask A(s) = s ^ XOR_{i in s} ((1 << i) - 1) is exactly that parity, hence
+s itself, so e_j contributes the parity of #{i in s : i >= j}.  That parity is
+bit j of the sign mask A(s), the row image over s of the unit masks
+A(e_i) = (2 << i) - 1, hence
 
     e_s e_t = (-1)^parity(A(s) & t) e_(s ^ t),
 
 the same law as the cocycle product of ``gexgroup`` with A(s) in place of the
-cocycle row.
+cocycle row.  A is linear by construction, so the law is a bilinear cocycle.
 
 E(n) is isomorphic to the presented group on generators -1, e_1, ..., e_{n-1}
 with e_i^2 = -1 and anticommuting generators, which is exactly the cocycle
 model of the all-ones quadratic form.  ``verify_psi`` proves that isomorphism
-from the 2^n image table of the generator map: both laws are bilinear
-cocycles, so the map is a homomorphism exactly when the central involution
-goes to -1, the vector part of the images is linear, and their signs are the
-values of one quadratic form, read off the generator images.  That takes no
-law check at all, not the 4^n of checking every pair, and runs for every n up
-to MAX_N.  ``verify_en_table`` checks the mod-8 decomposition of E(n) x Z2
-into central products.
+from the relations of the n-1 generator images e_i e_n and the rank of their
+vector parts (von Dyck), in (n-1)^2 law applications: no table of E(n) or of
+the model, for every n up to MAX_N.  ``verify_en_table`` checks the mod-8
+decomposition of E(n) x Z2 into central products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .f2linalg import _span
-from .gexgroup import (
-    GexGroup,
-    GroupClass,
-    BaseKind,
-    from_form,
-    group_class_of_form_class,
-)
+from .f2linalg import BitMatrix, _row_image, rank
+from .gexgroup import GroupClass, BaseKind, _read_form, group_class_of_form_class
 from .quadform import _DECIMAL, QuadraticForm, classify, direct_sum, zero_form
 
 MAX_N = 17
 
+_UNIT_MASKS = tuple((2 << i) - 1 for i in range(MAX_N))  # A(e_i): bits 0..i
+
 
 def _sign_mask(s: int) -> int:
-    """A(s) = s ^ XOR_{i in s} ((1 << i) - 1): bit j is the parity of the
-    elements of s that are >= j."""
-    a = s
-    w = s
-    while w:
-        low = w & -w
-        a ^= low - 1
-        w ^= low
-    return a
+    """A(s), the row image of the unit masks A(e_i) = (2 << i) - 1 over s:
+    bit j is the parity of the elements of s that are >= j."""
+    return _row_image(_UNIT_MASKS, s)
+
+
+def _en_mul(x: int, y: int) -> int:
+    """The product of two packed elements of E(n), n <= MAX_N."""
+    return x ^ y ^ ((_sign_mask(x >> 1) << 1 & y).bit_count() & 1)
 
 
 def g0_form(n_minus_1: int) -> QuadraticForm:
@@ -71,119 +64,59 @@ def g0_form(n_minus_1: int) -> QuadraticForm:
     return QuadraticForm(l, diag, upper)
 
 
-def _sign_mask_is_additive(n: int) -> bool:
-    """A(s) for every subset s of n bits equals the span table of the
-    single-bit masks A(1 << i), at s: A is linear, so the E(n) law is
-    associative with identity 0."""
-    masks = [_sign_mask(s) for s in range(1 << n)]
-    return masks == _span([masks[1 << i] for i in range(n)])
-
-
-def _generator_lifts(g: GexGroup) -> list[int]:
-    """lift[v]: the packed ascending product of the generator lifts
-    1 << (i + 1) over the set bits i of v, one law application per entry."""
-    lift = [0] * (1 << g.dim)
-    for v in range(1, 1 << g.dim):
-        low = v & -v
-        lift[v] = g.pmul(low << 1, lift[v ^ low])
-    return lift
-
-
-def _psi_images(lift: list[int]) -> list[int]:
-    """The image in E(n) of every packed cocycle-model element, indexed by it.
-
-    (v, eps) is the central involution to the power eps ^ sign(lift[v]) times
-    the ascending product of the lifts over the set bits of v.  psi sends the
-    central involution to -1 and that product to the ascending product of the
-    e_i over v, times e_n when v is odd (so the lift of e_i goes to e_i e_n).
-    An ascending product of distinct generators is a blade with sign 0, so
-    (v, eps) maps to the blade of v, plus e_n when v is odd, with sign
-    eps ^ sign(lift[v]).
-    """
-    top = len(lift)  # 1 << (n - 1): the bit of e_n
-    images = []
-    for v, lv in enumerate(lift):
-        image = ((v | top if v.bit_count() & 1 else v) << 1) | (lv & 1)
-        images += (image, image ^ 1)
-    return images
+def _generator_images(n: int) -> list[int]:
+    """psi(e_i) = e_i e_n for i = 1..n-1, packed: an ascending product of
+    distinct generators is the blade of its subset with sign +."""
+    top = 1 << (n - 1)
+    return [((1 << i) | top) << 1 for i in range(n - 1)]
 
 
 def verify_psi(n: int) -> bool:
-    """Prove that the generator map psi from the cocycle model of the
-    presented group onto E(n) is a bijective homomorphism, for 2 <= n <= MAX_N.
+    """Prove that the generator map psi, y_i -> e_i e_n and z -> -1, is an
+    isomorphism from the presented group P onto E(n), for 2 <= n <= MAX_N.
 
-    Both laws are bilinear-cocycle laws.  The model multiplies
-    (u, eps)(v, delta) = (u + v, eps + delta + beta(u, v)) with
-    beta(u, v) = parity(R(u) & v), and R is additive by construction (the
-    self-filling row table of ``gexgroup``), so beta is bilinear: the model
-    is a group only because of that.  E(n) multiplies by the same law with
-    alpha(s, t) = parity(A(s) & t), bilinear because the sign mask A is
-    additive over all 2^n subsets, a checked premise.  Then psi is a
-    homomorphism exactly when:
+    P has generators z, y_1, ..., y_{n-1} and relations z^2 = 1, z central,
+    y_i^2 = z and y_i y_j = z y_j y_i for i != j: the cocycle model of
+    ``g0_form(n - 1)``.  The proof:
 
-    (i) images[x ^ 1] == images[x] ^ 1 for every x, so the central
-        involution goes to -1 and psi(v, eps) = (p(v), eps + c(v)) for the
-        vector part p(v) and sign c(v) of the image of (v, 0);
-    (ii) p is the span table of the p(e_i), so p is linear;
-    (iii) gamma(u, v) = beta(u, v) + alpha(p(u), p(v)), bilinear by (ii), is
-        alternating on the n-1 generators;
-    (iv) c is the value table of the form with diagonal c(e_i) and polar
-        gamma.
+    (1) E(n) is a group of order 2^n.  Its law ``_en_mul`` is
+        (s, a)(t, b) = (s ^ t, a + b + parity(A(s) & t)), and A is linear by
+        construction, so the sign is a bilinear cocycle: the law is
+        associative with identity 0, -1 = (0, 1) is central of order 2, and
+        x^2 = (0, parity(A(s) & s)), so x^4 = 1.  The even subsets of n bits
+        form a space of dim n - 1, so E(n) has 2^n elements.
+    (2) In such a law every square and every commutator is 1 or -1: x^2 has
+        the empty subset, and xy and yx have the same one.  So
+        ``_read_form(_en_mul, images, 0) == g0_form(n - 1)`` says exactly
+        that g_i^2 = -1 and g_i g_j = -g_j g_i for i != j, the relations of
+        P at y_i -> g_i = psi(y_i), z -> -1; z^2 = 1 and z central hold by
+        (1).  By von Dyck's theorem psi extends to a homomorphism P -> E(n).
+    (3) psi is onto.  The vector parts of the g_i are even subsets of rank
+        n - 1, so they span the even subsets, and the subgroup generated by
+        the g_i maps onto them along x -> subset, whose kernel is {1, -1}.
+        It holds -1 = g_1^2 by (2), so it is E(n).
+    (4) Collecting a word of P by its relations gives z^eps times the
+        ascending product of the y_i over some v, so |P| <= 2^n = |E(n)|.
+        A map from P onto E(n) is then a bijection.
 
-    For psi(x y) = psi(x) psi(y) reads p(u + v) = p(u) + p(v), which is
-    (ii), and c(u + v) = c(u) + c(v) + gamma(u, v).  At u = v the latter
-    gives gamma(u, u) = c(0) = 0, so gamma is alternating, and then it says
-    that c is a quadratic form with polar gamma, fixed by its values on the
-    generators: (iii) and (iv).  Conversely (i)-(iv) give both identities.
-    p and c are read from the image table, not from the lifts, so the
-    verdict is about the map the table holds, at every element.
+    Checked here: the evenness and the rank in (3), and the form in (2).
+    The premise of (1) holds by the construction of A; the tests pin A to
+    its definition, bit by bit, for every subset of up to 12 generators.
 
-    Two more premises are checked: every lift lies over its vector
-    (``lift[v] >> 1 == v``), so the table holds the generator map its
-    formula names, and the images are distinct even subsets, so psi is a
-    bijection onto E(n).
-
-    Cost: the image table, built with one law application per lift, 2^n
-    sign masks for the additivity premise and n-1 for the generator images,
-    n-1 cocycle rows, and one span table and one value table of 2^(n-1)
-    entries: no law check, against n * 2^n for the generator lemma and 4^n
-    for every pair.
+    Cost: n - 1 generator images, one ``rank`` of n - 1 rows and the
+    (n - 1)^2 law applications of ``_read_form``, each over the two set bits
+    of a generator image: no table, against the 2^n images of psi and the
+    4^n pairs of a homomorphism check over all elements.
     """
     if not 2 <= n <= MAX_N:
         raise ValueError(f"verify_psi supported for 2 <= n <= {MAX_N}")
-    if not _sign_mask_is_additive(n):
+    images = _generator_images(n)
+    vectors = [image >> 1 for image in images]
+    if any(v.bit_count() & 1 for v in vectors):
         return False
-    g = from_form(g0_form(n - 1))
-    lift = _generator_lifts(g)
-    if any(lv >> 1 != v for v, lv in enumerate(lift)):
+    if rank(BitMatrix(n - 1, n, tuple(vectors))) != n - 1:
         return False
-    images = _psi_images(lift)
-    if len(set(images)) != g.order:
-        return False
-    if any((image >> 1).bit_count() & 1 for image in images):
-        return False
-    base = images[::2]  # the images of (v, 0), indexed by v
-    if images[1::2] != [image ^ 1 for image in base]:  # (i)
-        return False
-    p = [image >> 1 for image in base]
-    gens = [p[1 << i] for i in range(n - 1)]
-    if p != _span(gens):  # (ii)
-        return False
-    gamma = []
-    for i, pi in enumerate(gens):
-        a = _sign_mask(pi)
-        row = g.cocycle_row(2 << i) >> 1  # beta(e_i, .)
-        for j, pj in enumerate(gens):
-            row ^= ((a & pj).bit_count() & 1) << j
-        gamma.append(row)
-    diag = sum((base[1 << i] & 1) << i for i in range(n - 1))
-    upper = tuple(row & -(2 << i) for i, row in enumerate(gamma))  # bits j > i
-    c = QuadraticForm(n - 1, diag, upper)
-    # polar() is U + U^T with a zero diagonal: gamma equals it exactly when
-    # gamma is alternating.
-    if gamma != list(c.polar().data):  # (iii)
-        return False
-    return tuple(image & 1 for image in base) == c.value_table  # (iv)
+    return _read_form(_en_mul, images, 0) == g0_form(n - 1)
 
 
 def en_expected_class(n: int) -> GroupClass:

@@ -238,7 +238,8 @@ def check_group_laws(max_dim: int = 3):
 
 def check_psi(n_max: int = 10):
     """The generator map onto E(n) is a bijective homomorphism, proved from
-    its image table (``clifford.verify_psi``) for every n = 2..n_max."""
+    the relations and the rank of its n-1 generator images
+    (``clifford.verify_psi``) for every n = 2..n_max."""
     for n in range(2, n_max + 1):
         if not clifford.verify_psi(n):
             return False, f"generator map fails at n={n}"

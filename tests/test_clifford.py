@@ -1,13 +1,12 @@
+import dataclasses
 import random
 
 import pytest
 
-from gexforms import clifford
+from gexforms import clifford, verify
 from gexforms.clifford import (
     MAX_N,
     EnTableRow,
-    _generator_lifts,
-    _psi_images,
     _sign_mask,
     en_computed_class,
     en_expected_class,
@@ -15,7 +14,7 @@ from gexforms.clifford import (
     verify_en_table,
     verify_psi,
 )
-from gexforms.gexgroup import BaseKind, GexGroup, GroupClass, from_form
+from gexforms.gexgroup import BaseKind, GexGroup, GroupClass, _read_form, from_form
 from gexforms.quadform import classify, FormClass, Kind, QuadraticForm
 
 from reference import is_isomorphism, polarization
@@ -137,47 +136,29 @@ def word_element(g, word):
     return x
 
 
+def psi_per_element(g, x, n):
+    """psi of one packed element, word by word: the sign and subset of the
+    blade product of the generators of x, e_n appended when x is odd, and the
+    central power read off the ascending product of the lifts."""
+    v, eps = x >> 1, x & 1
+    sign, subset = 0, 0
+    lift_product = 0
+    w = v
+    while w:
+        i = (w & -w).bit_length() - 1
+        w &= w - 1
+        sign, subset = blade_mul(sign, subset, 0, 1 << i)
+        lift_product = g.pmul(lift_product, 1 << (i + 1))
+    if v.bit_count() % 2:
+        subset |= 1 << (n - 1)
+    return blade(subset, sign ^ eps ^ (lift_product & 1))
+
+
 def psi_table(n):
-    """The cocycle model of the presented group and its psi image table."""
+    """The cocycle model of the presented group and psi's image of each of
+    its packed elements, indexed by it, built element by element."""
     g = from_form(g0_form(n - 1))
-    return g, _psi_images(_generator_lifts(g))
-
-
-def test_generator_lifts_apply_the_law_once_per_entry(monkeypatch):
-    """The _generator_lifts docstring: "one law application per entry", so
-    2^(n-1) - 1 pmul calls for g0_form(n - 1), the empty product being free."""
-    pmul = counted(monkeypatch, GexGroup, "pmul")
-    for n in range(2, 11):
-        g = from_form(g0_form(n - 1))
-        pmul.calls = 0
-        _generator_lifts(g)
-        assert pmul.calls == (1 << (n - 1)) - 1, n
-
-
-def test_verify_psi_applies_the_law_only_to_build_the_lifts(monkeypatch):
-    """The verify_psi docstring's cost: the 2^(n-1) - 1 law applications of
-    _generator_lifts and none in the proof, n-1 cocycle rows, and 2^n sign
-    masks for the additivity premise plus one per generator image."""
-    pmul = counted(monkeypatch, GexGroup, "pmul")
-    rows = counted(monkeypatch, GexGroup, "cocycle_row")
-    masks = counted(monkeypatch, clifford, "_sign_mask")
-    generator_lifts = clifford._generator_lifts
-    in_lifts = []
-
-    def lifts_counted(g):
-        before = pmul.calls
-        lift = generator_lifts(g)
-        in_lifts.append(pmul.calls - before)
-        return lift
-
-    monkeypatch.setattr(clifford, "_generator_lifts", lifts_counted)
-    for n in range(2, 11):
-        pmul.calls = rows.calls = masks.calls = 0
-        in_lifts.clear()
-        assert verify_psi(n)
-        assert in_lifts == [pmul.calls] == [(1 << (n - 1)) - 1], n
-        assert rows.calls == n - 1, n
-        assert masks.calls == (1 << n) + n - 1, n
+    return g, [psi_per_element(g, x, n) for x in range(g.order)]
 
 
 def test_psi_generator_images():
@@ -189,6 +170,11 @@ def test_psi_generator_images():
     assert images[word_element(g, [3])] == 0b10100 << 1
     # sign tracking: e2 e1 = -e1 e2
     assert images[word_element(g, [2, 1])] == (0b00011 << 1) | 1
+    # verify_psi proves its relations on the images of the generator lifts
+    for n in range(2, MAX_N + 1):
+        g = from_form(g0_form(n - 1))
+        lifts = [2 << i for i in range(n - 1)]
+        assert [psi_per_element(g, x, n) for x in lifts] == clifford._generator_images(n)
 
 
 def test_psi_images_land_in_en():
@@ -213,37 +199,46 @@ def test_psi_respects_products():
         assert images[g.pmul(x1, x2)] == mul(images[x1], images[x2])
 
 
-def psi_per_element(g, x, n):
-    """psi of one packed element, word by word: the sign and subset of the
-    blade product of the generators of x, e_n appended when x is odd, and the
-    central power read off the ascending product of the lifts."""
-    v, eps = x >> 1, x & 1
-    sign, subset = 0, 0
-    lift_product = 0
-    w = v
-    while w:
-        i = (w & -w).bit_length() - 1
-        w &= w - 1
-        sign, subset = blade_mul(sign, subset, 0, 1 << i)
-        lift_product = g.pmul(lift_product, 1 << (i + 1))
-    if v.bit_count() % 2:
-        subset |= 1 << (n - 1)
-    return blade(subset, sign ^ eps ^ (lift_product & 1))
+def test_psi_table_matches_per_element_images():
+    """A second route to psi's table: the ascending lift product over each v
+    by doubling, one law application per entry, sent to the blade of v (with
+    e_n when v is odd) under that product's sign."""
+    for n in range(2, 13):
+        g, images = psi_table(n)
+        top = g.order // 2  # the bit of e_n in a subset
+        lift = [0] * top
+        doubled = []
+        for v in range(top):
+            if v:
+                low = v & -v
+                lift[v] = g.pmul(low << 1, lift[v ^ low])
+            image = blade(v | top if v.bit_count() % 2 else v, lift[v] & 1)
+            doubled += (image, image ^ 1)
+        assert images == doubled, n
 
 
-def psi_all_pairs(n, mutant=None):
-    """The homomorphism check on all 4^n element pairs, with images built
-    element by element, then changed by mutant when one is given: an
-    independent route to verify_psi's verdict."""
+def psi_all_pairs(n):
+    """The homomorphism check on all 4^n element pairs: an independent route
+    to verify_psi's verdict.  A packed model element (v, eps) is the
+    ascending lift product over v times the central involution to the power
+    eps ^ that product's sign, so psi sends it to the ascending product of
+    the generator images over v, times -1 to that power.  The generator
+    images, the sign mask of the E(n) law and g0_form are read from clifford
+    at call time, as verify_psi reads them, so a mutant of any reaches both."""
     g = from_form(clifford.g0_form(n - 1))
-    images = [psi_per_element(g, x, n) for x in range(g.order)]
-    if mutant is not None:
-        images = mutant(images)
+    gens = clifford._generator_images(n)
+    masks = [clifford._sign_mask(p >> 1) << 1 for p in range(2 << n)]
+    en_law = lambda p, r: p ^ r ^ ((masks[p] & r).bit_count() & 1)
+    images = []
+    for x in range(g.order):
+        image = lift = 0
+        for i, gen in enumerate(gens):
+            if x >> (i + 1) & 1:
+                image = en_law(image, gen)
+                lift = g.pmul(lift, 2 << i)
+        images.append(image ^ (x ^ lift) & 1)
     if any((image >> 1).bit_count() % 2 for image in images):
         return False
-    # the E(n) law, through the sign mask clifford holds at call time
-    masks = {p: clifford._sign_mask(p >> 1) << 1 for p in images}
-    en_law = lambda p, r: p ^ r ^ ((masks[p] & r).bit_count() & 1)
     return is_isomorphism(images, g.order, g.pmul, en_law)
 
 
@@ -259,168 +254,157 @@ def flipped_diagonal(n_minus_1):
     return QuadraticForm(q.dim, q.diag ^ 1, q.upper)
 
 
+def no_transposition_sign(s):
+    """A(s) = s: only the squared generators flip the sign."""
+    return s
+
+
+def squares_to_plus_one(s):
+    """A(s) ^ s: every generator squares to +1."""
+    return _sign_mask(s) ^ s  # the imported, unpatched A
+
+
 def non_additive_sign_mask(s):
     """The sign mask with bit 0 flipped on subsets of size 4: it agrees with
-    A on the subsets of size 0 and 2 that the generator images use, so only
-    the additivity premise can tell it apart."""
-    return _sign_mask(s) ^ (s.bit_count() == 4)  # the imported, unpatched A
+    A on the subsets of size 0 and 2 that the generator images use."""
+    return _sign_mask(s) ^ (s.bit_count() == 4)
 
 
-def flip_composite_sign(images):
-    """The sign of the image of e_1 ... e_{n-1}, a composite for n >= 3,
-    flipped on both eps: the images still pair up over the central
-    involution and their vector parts stay linear, so only the signs, step
-    (iv) of verify_psi, can tell."""
-    images = list(images)
-    v = len(images) // 2 - 1  # every one of the n-1 generator bits
-    images[2 * v] ^= 1
-    images[2 * v + 1] ^= 1
-    return images
+def wrong_first_image(images):
+    """psi(e_1) = e_1 e_2 in place of e_1 e_n, for n >= 3."""
+    return [blade(0b11)] + images[1:]
 
 
-def swap_images(images):
-    """The images of (e_1, 1) and (e_1 e_2, 1) swapped, for n >= 3: still
-    a bijection, and the images of every (v, 0) are untouched, so only the
-    pairing over the central involution, step (i), can tell."""
-    images = list(images)
-    x, y = (0b01 << 1) | 1, (0b11 << 1) | 1
-    images[x], images[y] = images[y], images[x]
-    return images
+def repeated_image(images):
+    """psi(e_2) = psi(e_1), for n >= 3: the images span n - 2 dimensions, so
+    they do not generate E(n)."""
+    return images[:1] * 2 + images[2:]
 
 
-def swap_vector_parts(images):
-    """The vector parts of the images of e_1 e_2 and e_1 e_3 swapped, each
-    sign kept, for n >= 4: still a bijection that pairs up over the central
-    involution, with the signs of the generators untouched, so only the
-    linearity of the vector parts, step (ii), can tell."""
-    images = list(images)
-    for eps in (0, 1):
-        x, y = (0b011 << 1) | eps, (0b101 << 1) | eps
-        px, py = images[x] & ~1, images[y] & ~1
-        images[x], images[y] = py | images[x] & 1, px | images[y] & 1
-    return images
+def product_image(images):
+    """psi(e_{n-1}) = the product of the other images, for n divisible by 4.
+    The product of y_1 .. y_{n-2} then squares to z and anticommutes with
+    each of them, as y_{n-1} does, so every relation of P holds, but the
+    images span n - 2 dimensions: a homomorphism that repeats images."""
+    product = 0
+    for image in images[:-1]:
+        product = clifford._en_mul(product, image)
+    return images[:-1] + [product]
 
 
-def move_central_image(images):
-    """The images of the central involution and of (e_1, 0) swapped: still a
-    bijection, but the central involution no longer goes to -1."""
-    images = list(images)
-    images[1], images[2] = images[2], images[1]
-    return images
+def odd_images(images):
+    """Every image without its factor e_n: the generators e_i themselves,
+    which square to -1, anticommute and have full rank, so only the premise
+    that the images are even can tell."""
+    return [blade(1 << i) for i in range(len(images))]
 
 
-def drop_e_n(images):
-    """Every image without its factor e_n: the generator map onto the signed
-    products of e_1 ... e_{n-1}, a homomorphism and a bijection onto them,
-    so only the premise that the images are even can tell."""
-    top = len(images)  # 2^n: the bit of e_n, one above the packed sign
-    return [image & ~top for image in images]
+def mutate_images(m, mutant):
+    """Make clifford's generator images mutant(images) under the patch m."""
+    images = clifford._generator_images
+    m.setattr(clifford, "_generator_images", lambda n: mutant(images(n)))
 
 
-def test_verify_psi_rejects_image_table_mutants(monkeypatch):
-    """Each mutant changes the image table verify_psi reads; the all-pairs
-    reference checks the same mutant of its own images."""
-    psi_images = clifford._psi_images
-    # (mutant, smallest n it applies to)
-    mutants = [
-        (flip_composite_sign, 3),
-        (swap_images, 3),
-        (swap_vector_parts, 4),
-        (move_central_image, 2),
-        (drop_e_n, 2),
-    ]
-    for mutant, lo in mutants:
-        with monkeypatch.context() as m:
-            m.setattr(clifford, "_psi_images", lambda lift: mutant(psi_images(lift)))
-            verdicts = [(verify_psi(n), psi_all_pairs(n, mutant)) for n in range(lo, 9)]
-        assert verdicts == [(False, False)] * (9 - lo), mutant.__name__
+def passes_the_form_check(n):
+    images = clifford._generator_images(n)
+    return _read_form(clifford._en_mul, images, 0) == g0_form(n - 1)
 
 
-def move_last_lift(lift):
-    """The lift of e_1 ... e_{n-1} moved onto the vector without e_1, its
-    sign kept: _psi_images reads only the index and the sign of a lift, so
-    the image table is unchanged, and only the premise that every lift lies
-    over its vector can tell."""
-    lift = list(lift)
-    lift[-1] ^= 0b10  # bit 0 of the vector, one above the packed sign
-    return lift
+def test_verify_psi_applies_the_law_n_minus_1_squared_times(monkeypatch):
+    """The verify_psi docstring's cost: the (n - 1)^2 E(n) law applications
+    of _read_form over the generator images, and no application of the
+    model's law, so no image table."""
+    law = counted(monkeypatch, clifford, "_en_mul")
+    pmul = counted(monkeypatch, GexGroup, "pmul")
+    for n in range(2, MAX_N + 1):
+        law.calls = pmul.calls = 0
+        assert verify_psi(n), n
+        assert (law.calls, pmul.calls) == ((n - 1) ** 2, 0), n
 
 
-def collapse_central_product(images):
-    """psi followed by the projection of the model onto its elements
-    without e_{n-1}, along z = (e_1 ... e_{n-1}, 0), for n divisible by 4,
-    where z is a central involution outside them: each image of the coset of e_{n-1}
-    times psi(z).  Still a homomorphism that sends the central involution to
-    -1, so (i)-(iv) hold, but z shares the image of the identity, and only
-    the premise that the images are distinct can tell."""
-    half = len(images) // 2  # below it, the packed elements without e_{n-1}
-    z = images[-2]
-    return images[:half] + [mul(image, z) for image in images[half:]]
-
-
-def test_verify_psi_rejects_a_lift_off_its_vector(monkeypatch):
-    generator_lifts = clifford._generator_lifts
-    monkeypatch.setattr(
-        clifford, "_generator_lifts", lambda g: move_last_lift(generator_lifts(g))
-    )
-    for n in range(2, 13):
-        g, images = psi_table(n)
-        assert _psi_images(clifford._generator_lifts(g)) == images, n
+def test_verify_psi_rejects_a_wrong_generator_image(monkeypatch):
+    # At n = 3, e_1 e_2 and e_2 e_3 square to -1, anticommute and span the
+    # even subsets of three generators: another isomorphism, rightly
+    # accepted.  From n = 4 on, e_1 e_2 commutes with e_3 e_n.
+    with monkeypatch.context() as m:
+        mutate_images(m, wrong_first_image)
+        verdicts = [verify_psi(n) for n in range(3, MAX_N + 1)]
+    assert verdicts == [True] + [False] * (MAX_N - 3)
+    mutate_images(monkeypatch, odd_images)
+    for n in range(2, MAX_N + 1):
+        assert passes_the_form_check(n), n
         assert not verify_psi(n), n
 
 
 def test_verify_psi_rejects_a_homomorphism_that_repeats_images(monkeypatch):
-    for n in (4, 8):
-        g, images = psi_table(n)
-        collapsed = collapse_central_product(images)
-        assert len(set(collapsed)) == g.order // 2, n
-        assert all(
-            collapsed[g.pmul(x, y)] == mul(collapsed[x], collapsed[y])
-            for x in range(g.order)
-            for y in range(g.order)
-        ), n
-    psi_images = clifford._psi_images
-    monkeypatch.setattr(
-        clifford, "_psi_images", lambda lift: collapse_central_product(psi_images(lift))
-    )
+    with monkeypatch.context() as m:
+        mutate_images(m, repeated_image)
+        assert not any(verify_psi(n) for n in range(3, MAX_N + 1))
+    # Every relation holds, so only the rank can tell.
+    mutate_images(monkeypatch, product_image)
     for n in (4, 8, 12, 16):
+        assert passes_the_form_check(n), n
         assert not verify_psi(n), n
 
 
-def test_psi_table_matches_per_element_images():
-    for n in range(2, 13):
-        g, images = psi_table(n)
-        assert images == [psi_per_element(g, x, n) for x in range(g.order)]
+def test_verify_psi_rejects_a_wrong_law(monkeypatch):
+    """R19's two law mutants.  Without the transposition sign every
+    generator image squares to +1, so the form read has a zero diagonal.
+
+    With every generator squaring to +1 the proof passes, rightly: the law
+    gains the sign parity(s & t), which is symmetric, so no commutator
+    changes, and on an even subset s it adds parity(s) = 0 to the square.
+    So every element of the mutant E(n) has the same square and the same
+    commutators as in E(n), the relations of P hold on the same images, and
+    psi is an isomorphism onto it as well."""
+    with monkeypatch.context() as m:
+        m.setattr(clifford, "_sign_mask", no_transposition_sign)
+        assert not any(verify_psi(n) for n in range(2, MAX_N + 1))
+    monkeypatch.setattr(clifford, "_sign_mask", squares_to_plus_one)
+    assert all(verify_psi(n) for n in range(2, MAX_N + 1))
+
+
+def test_sign_mask_matches_its_definition(monkeypatch):
+    """The premise that makes the E(n) law a group: its A, read through the
+    law as the sign of e_s e_j, has bit j = the parity of #{i in s : i >= j}
+    for every subset s of 12 generators.  A non-additive mask fails it, and
+    only this check tells: verify_psi reads A on the two-element subsets of
+    the generator images alone."""
+
+    def law_matches_definition(n):
+        return all(
+            clifford._en_mul(blade(s), blade(1 << j)) & 1 == (s >> j).bit_count() & 1
+            for s in range(1 << n)
+            for j in range(n)
+        )
+
+    assert law_matches_definition(12)
+    monkeypatch.setattr(clifford, "_sign_mask", non_additive_sign_mask)
+    assert not law_matches_definition(4)
+    assert all(verify_psi(n) for n in (4, 5, 9, 12))
+    assert not psi_all_pairs(5)
 
 
 def test_verify_psi_agrees_with_all_pairs_reference(monkeypatch):
     for n in range(2, 9):
         assert verify_psi(n) and psi_all_pairs(n)
-    # (attribute, mutant, smallest n it applies to, smallest n it breaks):
-    # the size-4 mask flip changes nothing below n = 4.
+    images = clifford._generator_images
+    # (patched attribute, replacement, smallest n it applies to)
     mutants = [
-        ("g0_form", flipped_polar, 3, 3),
-        ("g0_form", flipped_diagonal, 2, 2),
-        ("_sign_mask", non_additive_sign_mask, 2, 4),
+        ("g0_form", flipped_polar, 3),
+        ("g0_form", flipped_diagonal, 2),
+        ("_sign_mask", no_transposition_sign, 2),
+        ("_sign_mask", squares_to_plus_one, 2),
+        ("_generator_images", lambda n: wrong_first_image(images(n)), 3),
+        ("_generator_images", lambda n: repeated_image(images(n)), 3),
+        ("_generator_images", lambda n: product_image(images(n)), 4),
+        ("_generator_images", lambda n: odd_images(images(n)), 2),
     ]
-    for name, mutant, lo, broken in mutants:
+    for name, mutant, lo in mutants:
         with monkeypatch.context() as m:
             m.setattr(clifford, name, mutant)
-            verdicts = [(verify_psi(n), psi_all_pairs(n)) for n in range(lo, 9)]
-        assert verdicts == [(n < broken, n < broken) for n in range(lo, 9)], name
-
-
-def test_verify_psi_rejects_non_additive_mask_by_the_premise(monkeypatch):
-    monkeypatch.setattr(clifford, "_sign_mask", non_additive_sign_mask)
-    for n in (4, 5, 9, 12):
-        assert not clifford._sign_mask_is_additive(n)
-        assert not verify_psi(n)
-    # The proof reads A only at the generator images, subsets of size 2, so
-    # it passes alone: only the premise rejects the mask.
-    monkeypatch.setattr(clifford, "_sign_mask_is_additive", lambda n: True)
-    for n in (4, 5, 9, 12):
-        assert verify_psi(n)
-    assert not psi_all_pairs(5)
+            for n in range(lo, 9):
+                assert verify_psi(n) == psi_all_pairs(n), (name, n)
 
 
 def test_verify_psi_proves_max_n_and_enforces_bounds():
@@ -434,10 +418,41 @@ def test_verify_psi_proves_max_n_and_enforces_bounds():
 
 def test_verify_psi_detects_a_wrong_form(monkeypatch):
     # One polar coefficient flipped: e_1 and e_2 commute in the model but
-    # their images anticommute, so the map is no homomorphism.
-    monkeypatch.setattr(clifford, "g0_form", flipped_polar)
-    for n in list(range(3, 13)) + [17]:
-        assert not verify_psi(n)
+    # their images anticommute.  Or Q(e_1) = 0: e_1 squares to the identity
+    # in the model but its image squares to -1.
+    with monkeypatch.context() as m:
+        m.setattr(clifford, "g0_form", flipped_polar)
+        assert not any(verify_psi(n) for n in range(3, MAX_N + 1))
+    monkeypatch.setattr(clifford, "g0_form", flipped_diagonal)
+    assert not any(verify_psi(n) for n in range(2, MAX_N + 1))
+
+
+def test_check_psi_names_the_n_that_fails(monkeypatch):
+    proof = clifford.verify_psi
+    monkeypatch.setattr(clifford, "verify_psi", lambda n: n != 7 and proof(n))
+    assert verify.check_psi(n_max=10) == (False, "generator map fails at n=7")
+    assert verify.check_psi(n_max=6) == (True, "generator proof n=2..6")
+
+
+def test_check_en_table_rejects_a_missing_row_and_a_wrong_class(monkeypatch):
+    table = clifford.verify_en_table
+    with monkeypatch.context() as m:
+        m.setattr(clifford, "verify_en_table", lambda n_max: table(n_max)[:-1])
+        assert verify.check_en_table(n_max=9) == (
+            False,
+            "rows do not cover n=2..9 with their residues mod 8",
+        )
+
+    def wrong_class(n_max):
+        rows = table(n_max)
+        rows[3] = dataclasses.replace(rows[3], computed=en_expected_class(4))
+        return rows
+
+    monkeypatch.setattr(clifford, "verify_en_table", wrong_class)
+    assert verify.check_en_table(n_max=9) == (
+        False,
+        "n=5 residue=5 computed=Q8 x Z2^2 expected=Q8*D8 x Z2 FAIL",
+    )
 
 
 def test_en_order_matches_presented_group():
