@@ -56,8 +56,8 @@ def g0_form(n_minus_1: int) -> QuadraticForm:
     Its cocycle group is the presented group on n-1 generators that square to
     the central involution and pairwise anticommute.
     """
-    if not 1 <= n_minus_1 <= 16:
-        raise ValueError("generator count must be in [1, 16]")
+    if not 1 <= n_minus_1 <= MAX_N - 1:
+        raise ValueError(f"generator count must be in [1, {MAX_N - 1}]")
     l = n_minus_1
     diag = (1 << l) - 1
     upper = tuple(((1 << l) - 1) ^ ((1 << (i + 1)) - 1) for i in range(l))

@@ -366,7 +366,7 @@ def isometry_oracle(q: QuadraticForm, q2: QuadraticForm) -> Isometry | None:
 
     Independent ground truth for classify; capped at dim 4 (20160 matrices).
     Returns the first witness in the fixed enumeration order of
-    invertible_matrices, or None.  An isometry permutes GF(2)^dim, so forms
+    f2linalg._gl_actions, or None.  An isometry permutes GF(2)^dim, so forms
     with different numbers of vectors of value 1 are told apart by the sums
     of their cached value tables; below dim 2 GL(dim) is the identity alone.
     pull(t2) == t1 for a T of f2linalg._gl_actions needs q2 = q at e_0, e_1

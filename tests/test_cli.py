@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,11 +14,110 @@ from gexforms.verify import DEFAULT_SEED, get_seed, run_suite
 
 H_MINUS = "l=2;d=11;u=1"
 H_PLUS = "l=2;d=00;u=1"
-Q_ONE = "l=1;d=1;u="
 HM_Q1 = "l=3;d=111;u=100"
 ZERO2 = "l=2;d=00;u=0"
 # H+^2 + Q1 + 0 behind a random change of basis
 HIDDEN6 = "l=6;d=101101;u=010111001000001"
+# Dim 9, the first past the 8-bit block of the decomposition: its pairs
+# include an H- plane, and two radical vectors have Q = 1.
+DIM9 = "l=9;d=011001000;u=001101001001101010001001110000101000"
+# At the admissibility oracle's cap, dim 20: one plane on coordinates 0 and
+# 19 behind 18 zero coordinates, H- (admissible), and H+ with Q1 on
+# coordinate 10 (not admissible, so the oracle exhausts its candidates).
+PLANE20 = "l=20;d=1" + "0" * 18 + "1;u=" + "0" * 18 + "1" + "0" * 171
+PLANE_Q1_20 = "l=20;d=" + "0" * 10 + "1" + "0" * 9 + ";u=" + "0" * 18 + "1" + "0" * 171
+ZERO16 = "l=16;d=" + "0" * 16 + ";u=" + "0" * 120
+Q1_ZERO15 = "l=16;d=1" + "0" * 15 + ";u=" + "0" * 120
+Q1_ZERO14 = "l=15;d=1" + "0" * 14 + ";u=" + "0" * 105
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Each command with the exact text it prints, exit code 0 and no stderr.
+# Every `gexforms` example in the README is a row.
+OUTPUTS = {
+    ("classify", H_MINUS): """\
+H- (m1=1, kind=Minus, m2=0)
+normal-form: l=2;d=11;u=1
+witness:
+  10
+  01
+""",
+    ("classify", HM_Q1): """\
+H+ + Q1 (m1=1, kind=QOne, m2=1)
+normal-form: l=3;d=001;u=100
+witness:
+  100
+  010
+  111
+""",
+    ("classify", HIDDEN6): """\
+H+^2 + Q1 + 0 (m1=2, kind=QOne, m2=2)
+normal-form: l=6;d=000010;u=100000000100000
+witness:
+  010101
+  111001
+  101001
+  000011
+  110100
+  000001
+""",
+    ("classify", DIM9): """\
+H+^3 + Q1 + 0^2 (m1=3, kind=QOne, m2=3)
+normal-form: l=9;d=000000100;u=100000000000000100000000001000000000
+witness:
+  111000110
+  010001100
+  100011110
+  000101000
+  110001101
+  000011010
+  110000101
+  000000010
+  000000001
+""",
+    ("admissible", H_MINUS): "ADMISSIBLE\n",
+    ("admissible", H_PLUS): "NOT ADMISSIBLE\n",
+    ("admissible", H_MINUS, "--witness", "--oracle"): """\
+ADMISSIBLE (oracle agrees)
+  11
+  10
+""",
+    ("admissible", HIDDEN6, "--witness", "--oracle"): """\
+ADMISSIBLE (oracle agrees)
+  101000
+  111010
+  100000
+  001010
+  011110
+  010101
+""",
+    # The witness of DIM9 is pulled back through the columns of the
+    # normal-form change of basis.
+    ("admissible", DIM9, "--witness", "--oracle"): """\
+ADMISSIBLE (oracle agrees)
+  011000000
+  100100000
+  010110000
+  111100100
+  011100000
+  111011000
+  010000000
+  110001010
+  011010101
+""",
+    ("admissible", PLANE20, "--oracle"): "ADMISSIBLE (oracle agrees)\n",
+    ("admissible", PLANE_Q1_20, "--oracle"): "NOT ADMISSIBLE (oracle agrees)\n",
+    ("group", H_MINUS): "Q8, order 8, center 2, Frattini 2\n",
+    ("group", ZERO2): "Z2^3, order 8, center 8, Frattini 1\n",
+    # dim 16, all radical: the center's size comes without its 131072 elements
+    ("group", ZERO16): "Z2^17, order 131072, center 131072, Frattini 1\n",
+    ("group", Q1_ZERO15): "Z4 x Z2^15, order 131072, center 131072, Frattini 2\n",
+    ("central-product", H_MINUS, H_MINUS): """\
+gex:l=4;d=1111;u=100001
+Q8^*2, order 32, center 2, Frattini 2
+""",
+    ("en", "3"): "n=3 residue=3 computed=Q8 x Z2 expected=Q8 x Z2 PASS\n",
+    ("en", "17"): "n=17 residue=1 computed=Q8^*8 x Z2 expected=Q8^*8 x Z2 PASS\n",
+}
 
 
 @pytest.fixture(scope="module")
@@ -31,108 +132,67 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_classify_h_minus(capsys):
-    code, out, _ = run(capsys, "classify", H_MINUS)
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "H- (m1=1, kind=Minus, m2=0)"
-    assert lines[1] == f"normal-form: {H_MINUS}"
-    assert lines[2] == "witness:"
-    assert lines[3:] == ["  10", "  01"]
+@pytest.mark.parametrize("argv", OUTPUTS, ids="-".join)
+def test_command_output(capsys, argv):
+    assert run(capsys, *argv) == (0, OUTPUTS[argv], "")
 
 
-def test_classify_mixed_form(capsys):
-    code, out, _ = run(capsys, "classify", HM_Q1)
-    assert code == 0
-    assert out.splitlines() == [
-        "H+ + Q1 (m1=1, kind=QOne, m2=1)",
-        "normal-form: l=3;d=001;u=100",
-        "witness:",
-        "  100",
-        "  010",
-        "  111",
-    ]
-    code, out, _ = run(capsys, "classify", HIDDEN6)
-    assert code == 0
-    assert out.splitlines() == [
-        "H+^2 + Q1 + 0 (m1=2, kind=QOne, m2=2)",
-        "normal-form: l=6;d=000010;u=100000000100000",
-        "witness:",
-        "  010101",
-        "  111001",
-        "  101001",
-        "  000011",
-        "  110100",
-        "  000001",
-    ]
+def test_readme_examples_are_rows():
+    """Each `gexforms` line of the README's CLI block, comment stripped, is
+    a row of OUTPUTS; verify-paper has tests of its own."""
+    block = README.read_text().partition("## CLI")[2].partition("```sh\n")[2]
+    lines = block.partition("```")[0].splitlines()
+    argvs = [shlex.split(line, comments=True) for line in lines]
+    examples = {tuple(argv[1:]) for argv in argvs if argv[:1] == ["gexforms"]}
+    assert examples - OUTPUTS.keys() == {("verify-paper", "[--json]")}
 
 
-def test_classify_bad_form(capsys):
-    code, _, err = run(capsys, "classify", "l=2;d=0;u=0")
-    assert code == 2
-    assert "error:" in err
-
-
-Q1_ZERO14 = "l=15;d=1" + "0" * 14 + ";u=" + "0" * 105
+# Each rejected input with its seed and the one line it prints on stderr.
+REJECTIONS = [
+    (
+        None,
+        ["classify", "l=2;d=00;u=0;"],
+        "error: form spec must read l=<dim>;d=<bits>;u=<bits>, got 'l=2;d=00;u=0;'",
+    ),
+    (
+        None,
+        ["admissible", "l=21;d=" + "0" * 21 + ";u=" + "0" * 210, "--oracle"],
+        "error: value table capped at dimension 20",
+    ),
+    (
+        None,
+        ["group", "l=17;d=" + "0" * 17 + ";u=" + "0" * 136],
+        "error: group dimension capped at 16",
+    ),
+    (
+        None,
+        ["central-product", H_MINUS, ZERO2],
+        "error: central product needs a nontrivial Frattini subgroup on each side",
+    ),
+    (None, ["central-product", H_MINUS, Q1_ZERO14], "error: group dimension capped at 16"),
+    (None, ["en", "0"], "error: E(n) table needs 2 <= n <= 17, got n = 0"),
+    (None, ["en", "1"], "error: E(n) table needs 2 <= n <= 17, got n = 1"),
+    (None, ["en", "18"], "error: E(n) table needs 2 <= n <= 17, got n = 18"),
+    ("x12", ["verify-paper"], "error: GEXFORMS_SEED must be an integer (-?[0-9]+), got 'x12'"),
+    (None, ["en", " +٣ "], "error: n must be a decimal integer (0|[1-9][0-9]*), got ' +٣ '"),
+    (None, ["en", "03"], "error: n must be a decimal integer (0|[1-9][0-9]*), got '03'"),
+    (None, ["en", "x"], "error: n must be a decimal integer (0|[1-9][0-9]*), got 'x'"),
+    (None, ["classify", "l=2;d=0;u=0"], "error: field d needs 2 bits, got 1"),
+]
 
 
 @pytest.mark.parametrize(
-    "seed, argv",
-    [
-        (None, ["classify", "l=2;d=00;u=0;"]),
-        (None, ["admissible", "l=21;d=" + "0" * 21 + ";u=" + "0" * 210, "--oracle"]),
-        (None, ["group", "l=17;d=" + "0" * 17 + ";u=" + "0" * 136]),
-        (None, ["central-product", H_MINUS, ZERO2]),
-        (None, ["central-product", H_MINUS, Q1_ZERO14]),
-        (None, ["en", "0"]),
-        (None, ["en", "1"]),
-        (None, ["en", "18"]),
-        ("x12", ["verify-paper"]),
-        (None, ["en", " +٣ "]),
-        (None, ["en", "03"]),
-        (None, ["en", "x"]),
-    ],
+    "seed, argv, line",
+    REJECTIONS,
+    ids=[f"{seed}-argv{i}" for i, (seed, _, _) in enumerate(REJECTIONS)],
 )
-def test_every_rejection_is_one_error_line(capsys, monkeypatch, seed, argv):
-    """Each input the library rejects exits 2 with nothing on stdout and a
-    single error line on stderr, whichever command it reaches."""
+def test_every_rejection_is_one_error_line(capsys, monkeypatch, seed, argv, line):
+    """Each input the library rejects exits 2 with nothing on stdout and
+    exactly its one error line on stderr, whichever command it reaches."""
     monkeypatch.setattr(verify, "run_suite", lambda: pytest.fail("suite ran"))
     if seed is not None:
         monkeypatch.setenv(verify.SEED_ENV_VAR, seed)
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
-
-
-def test_admissible_verdicts(capsys):
-    code, out, _ = run(capsys, "admissible", H_MINUS)
-    assert code == 0 and out.strip() == "ADMISSIBLE"
-    code, out, _ = run(capsys, "admissible", H_PLUS)
-    assert code == 0 and out.strip() == "NOT ADMISSIBLE"
-
-
-def test_admissible_witness_and_oracle(capsys):
-    code, out, _ = run(capsys, "admissible", H_MINUS, "--witness", "--oracle")
-    assert code == 0
-    assert out.splitlines() == ["ADMISSIBLE (oracle agrees)", "  11", "  10"]
-    code, out, _ = run(capsys, "admissible", HIDDEN6, "--witness", "--oracle")
-    assert code == 0
-    assert out.splitlines() == [
-        "ADMISSIBLE (oracle agrees)",
-        "  101000",
-        "  111010",
-        "  100000",
-        "  001010",
-        "  011110",
-        "  010101",
-    ]
-
-
-def test_admissible_oracle_cap(capsys):
-    big = "l=21;d=" + "0" * 21 + ";u=" + "0" * 210
-    code, _, err = run(capsys, "admissible", big, "--oracle")
-    assert code == 2
-    assert "capped" in err
+    assert run(capsys, *argv) == (2, "", line + "\n")
 
 
 def test_admissible_oracle_disagreement(capsys, monkeypatch):
@@ -141,63 +201,6 @@ def test_admissible_oracle_disagreement(capsys, monkeypatch):
     monkeypatch.setattr(admissible, "is_admissible_bruteforce", lambda q: None)
     code, out, err = run(capsys, "admissible", H_MINUS, "--oracle")
     assert (code, out, err) == (1, "ADMISSIBLE (ORACLE DISAGREES)\n", "")
-
-
-def test_group_summary(capsys):
-    code, out, _ = run(capsys, "group", H_MINUS)
-    assert code == 0
-    assert out.strip() == "Q8, order 8, center 2, Frattini 2"
-    code, out, _ = run(capsys, "group", ZERO2)
-    assert code == 0
-    assert out.strip() == "Z2^3, order 8, center 8, Frattini 1"
-    # dim 16, all radical: the center's size comes without its 131072 elements
-    zero16 = "l=16;d=" + "0" * 16 + ";u=" + "0" * 120
-    code, out, _ = run(capsys, "group", zero16)
-    assert code == 0
-    assert out.strip() == "Z2^17, order 131072, center 131072, Frattini 1"
-    q1_zero15 = "l=16;d=1" + "0" * 15 + ";u=" + "0" * 120
-    code, out, _ = run(capsys, "group", q1_zero15)
-    assert code == 0
-    assert out.strip() == "Z4 x Z2^15, order 131072, center 131072, Frattini 2"
-
-
-def test_group_dimension_cap(capsys):
-    """A form above the group dimension cap exits 2 with one error line, as
-    central-product does, not with a traceback."""
-    zero17 = "l=17;d=" + "0" * 17 + ";u=" + "0" * 136
-    code, out, err = run(capsys, "group", zero17)
-    assert (code, out) == (2, "")
-    assert err == "error: group dimension capped at 16\n"
-
-
-def test_central_product(capsys):
-    code, out, _ = run(capsys, "central-product", H_MINUS, H_MINUS)
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0].startswith("gex:l=4;")
-    assert lines[1].startswith("Q8^*2, order 32,")
-
-
-def test_central_product_rejects_degenerate_factor(capsys):
-    code, _, err = run(capsys, "central-product", H_MINUS, ZERO2)
-    assert code == 2
-    assert "Frattini" in err
-
-
-def test_en_rows(capsys):
-    code, out, _ = run(capsys, "en", "3")
-    assert code == 0
-    assert out.strip() == "n=3 residue=3 computed=Q8 x Z2 expected=Q8 x Z2 PASS"
-    code, out, _ = run(capsys, "en", "17")
-    assert code == 0
-    assert out.strip().endswith("PASS")
-
-
-def test_en_bounds(capsys):
-    code, _, err = run(capsys, "en", "1")
-    assert code == 2
-    code, _, err = run(capsys, "en", "18")
-    assert code == 2
 
 
 def test_help_names_each_cap(capsys):
@@ -268,21 +271,26 @@ def test_verify_paper_rejects_bad_seed(capsys, monkeypatch):
     assert get_seed() == DEFAULT_SEED
 
 
-def test_verify_suite_direct(suite_report):
-    report = suite_report
-    assert report.ok
-    assert report.passed == len(report.checks) == 8
-    assert report.summary() == "8/8 checks passed"
-    for c in report.checks:
-        assert c.format().startswith("[PASS] ")
-    # The details count the work done; none of them depends on the seed.
-    assert [(c.name, c.detail) for c in report.checks] == [
-        ("form-classification-complete", "2120 form pairs"),
-        ("admissibility-theorem-vs-search", "1498 forms"),
-        ("zero-summand-splitting", "296 padded forms"),
-        ("group-form-dictionary", "3 tables + 50 random products"),
-        ("central-product-identities", "orders, Frattini, and order-32 isomorphism"),
-        ("group-model-laws", "16932 element pairs"),
-        ("clifford-presentation-iso", "generator proof n=2..10"),
-        ("clifford-mod8-table", "16 rows, n=2..17"),
-    ]
+# verify-paper's lines and summary, the time of each check masked as Xs.
+EXPECTED_SUITE = [
+    "[PASS] form-classification-complete (normal forms of quadratic forms over GF(2), degenerate included) Xs 2120 form pairs",
+    "[PASS] admissibility-theorem-vs-search (admissible forms are H+^m (m>=2), H- + H+^(m-1), H+^m + Q1 (m>=2)) Xs 1498 forms",
+    "[PASS] zero-summand-splitting (admissibility is unchanged by zero orthogonal summands) Xs 296 padded forms",
+    "[PASS] group-form-dictionary (Q8, D8, Z4 carry H-, H+, Q1; products act blockwise on forms) Xs 3 tables + 50 random products",
+    "[PASS] central-product-identities (central products amalgamate the involution; Q8*Q8 = D8*D8) Xs orders, Frattini, and order-32 isomorphism",
+    "[PASS] group-model-laws (squares realize Q and commutators realize B_Q) Xs 16932 element pairs",
+    "[PASS] clifford-presentation-iso (E(n) matches the presented group on n-1 anticommuting generators) Xs generator proof n=2..10",
+    "[PASS] clifford-mod8-table (E(n) x Z2 decomposes into central products by n mod 8) Xs 16 rows, n=2..17",
+    "8/8 checks passed",
+]
+
+
+def test_verify_suite_direct(monkeypatch, suite_report):
+    """Under the default seed and under GEXFORMS_SEED=12345 the suite reports
+    exactly these lines once the time of each check is masked: the details
+    count the work done, and none of them depends on the seed."""
+    monkeypatch.setenv(verify.SEED_ENV_VAR, "12345")
+    for report in (suite_report, run_suite()):
+        lines = [c.format() for c in report.checks] + [report.summary()]
+        assert [re.sub(r"\) [0-9]+\.[0-9]{2}s ", ") Xs ", line) for line in lines] == EXPECTED_SUITE
+

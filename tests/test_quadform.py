@@ -345,13 +345,6 @@ def test_direct_sum_evaluates_blockwise():
         direct_sum(zero_form(64), q_one())
 
 
-def test_sum_forms_associates():
-    parts = [h_plus(), q_one(), h_minus(), zero_form(2)]
-    assert sum_forms(*parts) == direct_sum(
-        direct_sum(direct_sum(parts[0], parts[1]), parts[2]), parts[3]
-    )
-
-
 def test_isometry_oracle_cap_and_dim_check():
     with pytest.raises(ValueError):
         isometry_oracle(zero_form(5), zero_form(5))
