@@ -9,7 +9,16 @@ packed table of Q, and serves as the independent oracle.
 
 from __future__ import annotations
 
-from .f2linalg import BitMatrix, _coordinate_masks, _row_image, _translate, is_invertible
+from .f2linalg import (
+    _BLOCK_FOR,
+    BitMatrix,
+    _coordinate_masks,
+    _pack,
+    _row_image,
+    _transpose,
+    _translate,
+    is_invertible,
+)
 from .quadform import FormClass, Kind, QuadraticForm, _normal_basis, _value_bits, classify
 
 
@@ -18,10 +27,15 @@ def check_basis(q: QuadraticForm, vs: tuple[int, ...]) -> bool:
     vs is a basis of packed vectors, Q = 1 on each, and each has a
     B_Q-partner among the others.
 
-    One row image r_v = v^T U of the strictly upper-triangular U = q.upper
-    per vector gives Q(v) = parity((diag ^ r_v) & v) and
-    B_Q(v, w) = v^T (U + U^T) w = parity(r_v & w) ^ parity(r_w & v): n row
-    images and n^2 parities, not the O(n^3) of evaluating Q at every sum.
+    Word-parallel, as in f2linalg._echelon: the vectors are the rows of one
+    packed w x w block V (w = 8, 16, 32 or 64).  The row images
+    R = V U of the strictly upper-triangular U = q.upper and the block
+    M = R V^T, M_ik = r_i . v_k, take n carry-free products each.  Then
+    Q(v_i) = parity((diag ^ r_i) & v_i) is one within-slot parity fold of
+    (R ^ diag in every slot) & V, and B_Q(v_i, v_k) = M_ik ^ M_ki, so v_i
+    has a partner when slot i of M ^ M^T is nonzero: one within-slot OR
+    fold.  Two transposes and O(n) operations on ints of at most 64^2 bits,
+    with the rank check, not the n^2 parities of one pair at a time.
     """
     n = q.dim
     if len(vs) != n or any(v >> n for v in vs):
@@ -31,17 +45,27 @@ def check_basis(q: QuadraticForm, vs: tuple[int, ...]) -> bool:
     # The vectors as rows: rank does not change under transpose.
     if not is_invertible(BitMatrix(n, n, vs)):
         return False
-    rows = [_row_image(q.upper, v) for v in vs]
-    if any(not ((q.diag ^ r) & v).bit_count() & 1 for v, r in zip(vs, rows)):
-        return False
-    # B_Q(v, v) = 0, so v need not be left out of its own partner search.
-    for v, r in zip(vs, rows):
-        if not any(
-            ((r & w).bit_count() ^ (rw & v).bit_count()) & 1
-            for w, rw in zip(vs, rows)
-        ):
-            return False
-    return True
+    tc, w, ones, steps, _ = _BLOCK_FOR[n]
+    mask = (1 << w) - 1
+    x = _pack(vs, tc)
+    rows = 0  # R: slot i holds r_i
+    for j, u in enumerate(q.upper):
+        if u:
+            rows ^= (x >> j & ones) * u
+    cols = _transpose(x, steps)  # slot j holds column j of V
+    gram = 0  # M: bit k of slot i is r_i . v_k
+    for j in range(n):
+        gram ^= (rows >> j & ones) * (cols >> j * w & mask)
+    values = (rows ^ q.diag * ones) & x
+    gram ^= _transpose(gram, steps)
+    s = w >> 1
+    while s:
+        values ^= values >> s
+        gram |= gram >> s
+        s >>= 1
+    # Bit 0 of slot i now holds Q(v_i), and whether v_i has a partner.
+    full = ones & ((1 << n * w) - 1)
+    return values & full == full and gram & full == full
 
 
 def is_admissible(q: QuadraticForm) -> bool:

@@ -20,7 +20,8 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import product
 
 from .f2linalg import (
     GL_DIM_CAP,
@@ -270,6 +271,15 @@ def form_classes(dim: int) -> tuple[FormClass, ...]:
     return tuple(classes)
 
 
+@lru_cache(maxsize=None)
+def _shared_class(dim: int, m1: int, kind: Kind) -> FormClass:
+    """FormClass(dim, m1, kind, dim - 2*m1), built and validated once: the
+    class is frozen, so every classify call that lands on it returns the same
+    object.  Keyed by the class, not by a form, so it holds at most the
+    3,169 classes of form_classes over dims 0-64."""
+    return FormClass(dim, m1, kind, dim - 2 * m1)
+
+
 def _form_class(dim: int, m1: int, values: int) -> FormClass:
     """The class of a form on GF(2)^dim whose symplectic decomposition has m1
     pairs and Q on its output vectors in ``values``, by _normal_basis's rules."""
@@ -277,7 +287,7 @@ def _form_class(dim: int, m1: int, values: int) -> FormClass:
     kind = Kind.MINUS if minus.bit_count() & 1 else Kind.PLUS if m1 else Kind.ZERO
     if values >> 2 * m1:  # Q is nonzero on the radical
         kind = Kind.QONE
-    return FormClass(dim, m1, kind, dim - 2 * m1)
+    return _shared_class(dim, m1, kind)
 
 
 def _normal_basis(q: QuadraticForm) -> tuple[FormClass, list[int]]:
@@ -403,16 +413,21 @@ def isometry_oracle(q: QuadraticForm, q2: QuadraticForm) -> Isometry | None:
 
 
 def all_forms(dim: int):
-    """Iterate every quadratic form on GF(2)^dim (2^(dim(dim+1)/2) of them)."""
-    nupper = dim * (dim - 1) // 2
-    positions = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    for diag in range(1 << dim):
-        for ubits in range(1 << nupper):
-            upper = [0] * dim
-            for k, (i, j) in enumerate(positions):
-                if (ubits >> k) & 1:
-                    upper[i] |= 1 << j
-            yield QuadraticForm(dim, diag, tuple(upper))
+    """Iterate every quadratic form on GF(2)^dim (2^(dim(dim+1)/2) of them):
+    by diag, then by the bits b_ij of ``upper`` read as one number in
+    row-major order, b_01 lowest.  Row i steps through the multiples of
+    2^(i+1) below 2^dim, and upper[0] steps fastest, so the upper tuples are
+    the product of the rows from last to first, each tuple reversed.  They
+    are built once per call, during the pass at diag = 0, so a partial walk
+    builds no more of them than it yields."""
+    rows = [range(0, 1 << dim, 2 << i) for i in reversed(range(dim))]
+    uppers = []
+    for upper in product(*rows):
+        uppers.append(upper[::-1])
+        yield QuadraticForm(dim, 0, uppers[-1])
+    for diag in range(1, 1 << dim):
+        for upper in uppers:
+            yield QuadraticForm(dim, diag, upper)
 
 
 def random_form(dim: int, rng) -> QuadraticForm:

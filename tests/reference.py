@@ -75,6 +75,21 @@ def greedy_admissible_basis(q):
     return None
 
 
+def quadratic_forms(dim: int):
+    """(diag, upper) of every quadratic form on GF(2)^dim, one bit at a
+    time: diag from 0 to 2^dim - 1, and for each the coefficients b_ij,
+    i < j, in row-major order as the bits of one number ubits from 0 to
+    2^(dim(dim-1)/2) - 1, b_01 lowest; b_ij is bit j of upper[i]."""
+    positions = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    for diag in range(1 << dim):
+        for ubits in range(1 << len(positions)):
+            upper = [0] * dim
+            for k, (i, j) in enumerate(positions):
+                if ubits >> k & 1:
+                    upper[i] |= 1 << j
+            yield diag, tuple(upper)
+
+
 def cocycle_law(q, x: int, y: int) -> int:
     """(u, eps)(v, delta) = (u + v, eps + delta + u^T M v) on the packed
     (u << 1) | eps, with M_ii = Q(e_i) from ``q.diag`` and M_ij = b_ij from

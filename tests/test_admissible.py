@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gexforms import f2linalg, quadform
+from gexforms import admissible, f2linalg, quadform, verify
 from gexforms.f2linalg import _row_image
 from gexforms.admissible import (
     _standard_basis,
@@ -120,6 +120,86 @@ def test_check_basis_agrees_with_eval_bits_reference():
     for q, vs, expected in cases:
         verdict = check_basis(q, vs)
         assert verdict == is_admissible_basis(q, vs) == expected, (q.to_string(), vs)
+
+
+@pytest.mark.parametrize("dim", [7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64])
+def test_check_basis_at_the_block_edges(dim):
+    """check_basis packs the basis as one 8, 16, 32 or 64 bit wide block,
+    so each dim around a width is checked: the witness of a seeded hidden
+    admissible form, and four corruptions of its last vector, the one in the
+    last slot of the block: a repeat of the first vector, bit dim set, a sum
+    with Q = 0, and the coordinate of a Q1 summand added to a witness one
+    dim lower, which has no partner.  Each verdict is the reference's."""
+    rng = random.Random(RNG_SEED + 12 + dim)
+
+    def witnessed(n):
+        fc = rng.choice([fc for fc in form_classes(n) if _theorem_admissible(fc)])
+        q = hidden_form(fc, rng)
+        return q, admissible_witness(q)
+
+    q, vs = witnessed(dim)
+    cases = [(q, vs, True), (q, vs[:-1] + vs[:1], False)]
+    cases.append((q, vs[:-1] + (vs[-1] | 1 << dim,), False))
+    for _ in range(64):
+        u = vs[-1]
+        for v in vs[:-1]:
+            u ^= v * rng.getrandbits(1)
+        if not q.eval_bits(u):
+            cases.append((q, vs[:-1] + (u,), False))
+            break
+    lower, ws = witnessed(dim - 1)
+    cases.append((direct_sum(lower, q_one()), ws + (1 << (dim - 1),), False))
+    assert len(cases) == 5
+    for q, vs, expected in cases:
+        assert check_basis(q, vs) == is_admissible_basis(q, vs) == expected, vs
+
+
+@pytest.mark.parametrize(
+    "name, mutant, detail",
+    [
+        (
+            "is_admissible",
+            lambda f: lambda q: f(q) ^ (q == h_plus()),
+            "anchor l=2;d=00;u=1 expected False",
+        ),
+        (
+            "is_admissible_bruteforce",
+            lambda f: lambda q: None if q == h_minus() else f(q),
+            "oracle at anchor l=2;d=11;u=1 expected True",
+        ),
+        (
+            "is_admissible",
+            lambda f: lambda q: f(q) ^ (q == q_one()),
+            "oracle disagreement at l=1;d=1;u=",
+        ),
+        (
+            "is_admissible_bruteforce",
+            lambda f: lambda q: (basis := f(q)) and basis[:-1] + basis[:1],
+            "invalid oracle basis at l=2;d=11;u=1",
+        ),
+    ],
+    ids=["anchor", "oracle-anchor", "verdict", "dependent-basis"],
+)
+def test_admissibility_check_names_each_failure(monkeypatch, name, mutant, detail):
+    """check_admissibility's four failure returns, each reached by one
+    mutant: the theorem's verdict flipped at the H+ anchor, an oracle that
+    finds no basis for H-, the verdict flipped at the dim-1 form Q1, and an
+    oracle basis whose last vector repeats its first, first found at H-."""
+    monkeypatch.setattr(admissible, name, mutant(getattr(admissible, name)))
+    assert verify.check_admissibility() == (False, detail)
+
+
+def test_admissibility_check_covers_1502_forms_and_856_bases(monkeypatch):
+    """Under the default seed the check asks the oracle and the theorem for
+    the 4 anchors and the 1,498 swept forms, and check_basis for each of
+    the 856 bases the oracle finds."""
+    monkeypatch.delenv(verify.SEED_ENV_VAR, raising=False)
+    counters = [
+        counted(monkeypatch, admissible, name)
+        for name in ("is_admissible_bruteforce", "is_admissible", "check_basis")
+    ]
+    assert verify.check_admissibility() == (True, "1498 forms")
+    assert [c.calls for c in counters] == [1502, 1502, 856]
 
 
 def test_witness_random_larger_dims():

@@ -42,8 +42,15 @@ from gexforms.quadform import (
     zero_form,
 )
 
-from reference import bilinear, matvec_bits, polarization
-from seeded import RNG_SEED, forbid, hidden_form, random_invertible, sum_forms
+from reference import bilinear, matvec_bits, polarization, quadratic_forms
+from seeded import (
+    RNG_SEED,
+    counted,
+    forbid,
+    hidden_form,
+    random_invertible,
+    sum_forms,
+)
 
 
 def forms_strategy(max_dim=5):
@@ -578,6 +585,34 @@ def test_class_counts_per_dimension():
         seen = {classify(q) for q in all_forms(dim)}
         assert len(form_classes(dim)) == len(seen)
         assert set(form_classes(dim)) == seen
+
+
+def test_all_forms_is_the_bit_loop():
+    """all_forms yields the forms of the reference's bit loop, in its order:
+    33,867 forms at dims 0-5."""
+    count = 0
+    for dim in range(6):
+        forms = [(q.dim, q.diag, q.upper) for q in all_forms(dim)]
+        assert forms == [(dim, diag, upper) for diag, upper in quadratic_forms(dim)]
+        count += len(forms)
+    assert count == 33867
+
+
+def test_classify_builds_each_class_once(monkeypatch):
+    """classify returns one shared FormClass per class: once every class at
+    dims 0-4 and at dim 64 has been returned, classifying the same forms, and
+    the classes at dim 64 behind fresh bases, builds no FormClass."""
+    rng = random.Random(RNG_SEED + 11)
+    top = form_classes(64)
+    forms = [q for dim in range(5) for q in all_forms(dim)]
+    forms += [hidden_form(fc, rng) for fc in top]
+    first = [classify(q) for q in forms]
+    forms += [hidden_form(fc, rng) for fc in top]
+    built = counted(monkeypatch, FormClass, "__post_init__")
+    again = [classify(q) for q in forms]
+    assert built.calls == 0
+    assert all(a is b for a, b in zip(first, again))
+    assert again[len(first) :] == list(top)
 
 
 def test_classification_check_names_a_class_missing_from_the_grid(monkeypatch):
