@@ -14,6 +14,7 @@ from .f2linalg import (
     BitMatrix,
     _coordinate_masks,
     _pack,
+    _pivots,
     _row_image,
     _transpose,
     _translate,
@@ -27,7 +28,7 @@ def check_basis(q: QuadraticForm, vs: tuple[int, ...]) -> bool:
     vs is a basis of packed vectors, Q = 1 on each, and each has a
     B_Q-partner among the others.
 
-    Word-parallel, as in f2linalg._echelon: the vectors are the rows of one
+    Word-parallel, as in f2linalg._pivots: the vectors are the rows of one
     packed w x w block V (w = 8, 16, 32 or 64).  The row images
     R = V U of the strictly upper-triangular U = q.upper and the block
     M = R V^T, M_ik = r_i . v_k, take n carry-free products each.  Then
@@ -35,19 +36,20 @@ def check_basis(q: QuadraticForm, vs: tuple[int, ...]) -> bool:
     (R ^ diag in every slot) & V, and B_Q(v_i, v_k) = M_ik ^ M_ki, so v_i
     has a partner when slot i of M ^ M^T is nonzero: one within-slot OR
     fold.  Two transposes and O(n) operations on ints of at most 64^2 bits,
-    with the rank check, not the n^2 parities of one pair at a time.
+    with the rank check on the same packed block, not the n^2 parities of
+    one pair at a time.
     """
     n = q.dim
     if len(vs) != n or any(v >> n for v in vs):
         return False
     if n == 0:
         return False
-    # The vectors as rows: rank does not change under transpose.
-    if not is_invertible(BitMatrix(n, n, vs)):
-        return False
     tc, w, ones, steps, _ = _BLOCK_FOR[n]
-    mask = (1 << w) - 1
     x = _pack(vs, tc)
+    # The vectors as rows: rank does not change under transpose.
+    if len(_pivots(x, n, w, ones)) < n:
+        return False
+    mask = (1 << w) - 1
     rows = 0  # R: slot i holds r_i
     for j, u in enumerate(q.upper):
         if u:

@@ -28,9 +28,7 @@ decomposition of E(n) x Z2 into central products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .f2linalg import BitMatrix, _row_image, rank
+from .f2linalg import BitMatrix, _Record, _row_image, rank
 from .gexgroup import GroupClass, BaseKind, _read_form, group_class_of_form_class
 from .quadform import _DECIMAL, QuadraticForm, classify, direct_sum, zero_form
 
@@ -136,12 +134,14 @@ def en_expected_class(n: int) -> GroupClass:
     return GroupClass(BaseKind.Q8_POWER_D8, (n - 1) // 2, 1)
 
 
-@dataclass(frozen=True)
-class EnTableRow:
-    n: int
-    residue: int
-    computed: GroupClass
-    expected: GroupClass
+class EnTableRow(_Record):
+    _fields = ("n", "residue", "computed", "expected")
+
+    def __init__(self, n: int, residue: int, computed: GroupClass, expected: GroupClass):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "residue", residue)
+        object.__setattr__(self, "computed", computed)
+        object.__setattr__(self, "expected", expected)
 
     @property
     def ok(self) -> bool:

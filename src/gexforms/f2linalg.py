@@ -1,7 +1,7 @@
 """Exact linear algebra over GF(2) on word-packed vectors and matrices.
 
 A vector is a plain Python int (bit i = coordinate i) whose dimension the
-caller knows; a matrix is a frozen dataclass of packed rows.  Everything is
+caller knows; a matrix is a frozen record of packed rows.  Everything is
 immutable and pure; dimensions are capped at 64 so a vector always fits a
 machine word.  The table of GL(n, GF(2)) for n <= 4, each matrix with its
 action on GF(2)^n, is built here once per n.
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
@@ -130,22 +129,63 @@ def _transpose_rows(rows, cols: int) -> list[int]:
     return a[:cols].tolist()
 
 
-@dataclass(frozen=True)
-class BitMatrix:
+class _Record:
+    """A frozen record, as a frozen dataclass but without importing one.
+
+    A subclass names its fields in ``_fields`` and sets them in its own
+    ``__init__`` with object.__setattr__.  Assignment and deletion raise
+    AttributeError; == compares the field tuples of two records of one class
+    (NotImplemented otherwise), hash and repr read the same fields, and other
+    attributes (a cache) take no part.  Nothing reads the instance
+    ``__dict__``: that would build it and slow every attribute read after.
+    """
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls):
+        # eq and hash compiled per class, as a dataclass does: the inline
+        # attribute reads cost half of what a generic key function does.
+        own = "".join(f"self.{name}, " for name in cls._fields)
+        other = own.replace("self.", "other.")
+        namespace = {}
+        exec(
+            "def __eq__(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            f"        return ({own}) == ({other})\n"
+            "    return NotImplemented\n"
+            "def __hash__(self):\n"
+            f"    return hash(({own}))\n",
+            namespace,
+        )
+        cls.__eq__, cls.__hash__ = namespace["__eq__"], namespace["__hash__"]
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BitMatrix(_Record):
     """A rows x cols matrix over GF(2); each row packed into an int (bit j = column j)."""
 
-    rows: int
-    cols: int
-    data: tuple[int, ...]
+    _fields = ("rows", "cols", "data")
 
-    def __post_init__(self):
-        if not (0 <= self.rows <= MAX_DIM and 0 <= self.cols <= MAX_DIM):
+    def __init__(self, rows: int, cols: int, data: tuple[int, ...]):
+        if not (0 <= rows <= MAX_DIM and 0 <= cols <= MAX_DIM):
             raise ValueError("matrix dimensions out of range")
-        if len(self.data) != self.rows:
+        if len(data) != rows:
             raise ValueError("row count mismatch")
-        for r in self.data:
-            if r >> self.cols:
+        for r in data:
+            if r >> cols:
                 raise ValueError("row bits set beyond column count")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "data", data)
 
     @staticmethod
     def identity(n: int) -> "BitMatrix":
@@ -168,27 +208,33 @@ class BitMatrix:
 
 def _echelon(m: BitMatrix) -> list[tuple[int, int]]:
     """Forward elimination: the (pivot column, pivot row) pairs of a row
-    echelon form of M, by increasing column.
+    echelon form of M, by increasing column: _pivots on its rows packed as
+    a w x w block (w = 8, 16, 32 or 64, as in _transpose_rows)."""
+    tc, w, ones, _, _ = _BLOCK_FOR[max(m.rows, m.cols)]
+    return _pivots(_pack(m.data, tc), m.cols, w, ones)
+
+
+def _pivots(x: int, cols: int, w: int, ones: int) -> list[tuple[int, int]]:
+    """The (pivot column, pivot row) pairs of a row echelon form of the
+    matrix packed in x as a w x w block with the slot ones mask ``ones``,
+    by increasing column.
 
     Each pivot row has its lowest set bit at its own column and no bit at an
     earlier pivot column; later pivot columns may still be set in it.  Relies
-    on every row being below 2^m.cols, as BitMatrix enforces: a wider row
+    on every row being below 2^cols, as BitMatrix enforces: a wider row
     could spill into the next row's slot of the packed block.
 
-    Word-parallel, in the manner of M4RI: the rows are packed into one int as
-    a w x w block (w = 8, 16, 32 or 64, as in _transpose_rows).  For column
-    c, sel = (x >> c) & ones marks the rows with bit c; the highest marked
-    row is the pivot p, and x ^= sel * p clears column c in every marked row
-    at once, the pivot row included.  The product is carry-free because each
-    slot of sel selects one copy of p < 2^w.  Every pivot removes one row, so
-    the loop stops when x is zero; taking the highest row lets x shrink as
-    its top rows go.  O(cols) operations on ints of at most w^2 bits.
+    Word-parallel, in the manner of M4RI.  For column c, sel = (x >> c) &
+    ones marks the rows with bit c; the highest marked row is the pivot p,
+    and x ^= sel * p clears column c in every marked row at once, the pivot
+    row included.  The product is carry-free because each slot of sel
+    selects one copy of p < 2^w.  Every pivot removes one row, so the loop
+    stops when x is zero; taking the highest row lets x shrink as its top
+    rows go.  O(cols) operations on ints of at most w^2 bits.
     """
-    tc, w, ones, _, _ = _BLOCK_FOR[max(m.rows, m.cols)]
-    x = _pack(m.data, tc)
     mask = (1 << w) - 1
     pivots = []
-    for c in range(m.cols):
+    for c in range(cols):
         sel = (x >> c) & ones
         if sel:
             p = (x >> (sel.bit_length() - 1)) & mask
@@ -257,7 +303,7 @@ def symplectic_basis(q, *, vectors=True) -> tuple[list[tuple[int, int]], list[in
     u_i).  The partner of v is the lowest bit of its image & alive.  Q on the
     working vectors is one mask, carried by Q(u + v) = Q(u) + Q(v) + B(u, v).
 
-    Word-parallel, as in _echelon: the images are the rows of one packed
+    Word-parallel, as in _pivots: the images are the rows of one packed
     square block x (8, 16, 32 or 64 bits wide), B_Q itself at the start (the
     packed U ORed with its one _transpose), and the u_i the rows of a second
     block that starts as the identity.  A pair step (v, w) is one rank-two

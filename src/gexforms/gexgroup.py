@@ -39,11 +39,10 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
-from .f2linalg import BitMatrix, _span, kernel_basis, rank
+from .f2linalg import BitMatrix, _Record, _span, kernel_basis, rank
 from .quadform import (
     FormClass,
     Kind,
@@ -71,21 +70,19 @@ class _Rows(dict):
         return row
 
 
-@dataclass(frozen=True)
-class GexGroup:
+class GexGroup(_Record):
     """Group of order 2^(dim+1) presented by a quadratic form via its cocycle,
     with its law read off a self-filling row table that only the form fixes."""
 
-    form: QuadraticForm
-    _rows: _Rows = field(init=False, repr=False, compare=False)
+    _fields = ("form",)
 
-    def __post_init__(self):
-        q = self.form
-        if q.dim > FROM_FORM_DIM_CAP:
+    def __init__(self, form: QuadraticForm):
+        if form.dim > FROM_FORM_DIM_CAP:
             raise ValueError(f"group dimension capped at {FROM_FORM_DIM_CAP}")
         rows = _Rows({0: 0})
-        for i in range(q.dim):
-            rows[1 << i] = (q.upper[i] | (q.diag >> i & 1) << i) << 1
+        for i in range(form.dim):
+            rows[1 << i] = (form.upper[i] | (form.diag >> i & 1) << i) << 1
+        object.__setattr__(self, "form", form)
         object.__setattr__(self, "_rows", rows)
 
     @property
@@ -117,8 +114,7 @@ def from_form(q: QuadraticForm) -> GexGroup:
 # -- subgroups ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Center:
+class Center(_Record):
     """{(v, eps) : v in radical(B_Q)}: both central fibers over the radical.
 
     A view: its size is 2^(k+1) for the k vectors of ``radical``, a basis of
@@ -126,7 +122,10 @@ class Center:
     read off the span table of that basis.
     """
 
-    radical: tuple[int, ...]
+    _fields = ("radical",)
+
+    def __init__(self, radical: tuple[int, ...]):
+        object.__setattr__(self, "radical", radical)
 
     def __len__(self) -> int:
         return 2 << len(self.radical)
@@ -196,8 +195,7 @@ class BaseKind(enum.Enum):
     ELEMENTARY_ABELIAN = "Z2^k"
 
 
-@dataclass(frozen=True)
-class GroupClass:
+class GroupClass(_Record):
     """Isomorphism-class descriptor: base central product plus a Z2^n factor.
 
     Q8_POWER(m): Q8^*m (m >= 1).  Q8_POWER_D8(m): Q8^*(m-1) * D8 (m >= 1,
@@ -206,9 +204,12 @@ class GroupClass:
     classification of generalized extraspecial groups leaves out).
     """
 
-    base: BaseKind
-    m: int
-    z2rank: int
+    _fields = ("base", "m", "z2rank")
+
+    def __init__(self, base: BaseKind, m: int, z2rank: int):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "z2rank", z2rank)
 
     def describe(self) -> str:
         if self.base is BaseKind.ELEMENTARY_ABELIAN:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 
@@ -27,6 +26,7 @@ from .f2linalg import (
     GL_DIM_CAP,
     MAX_DIM,
     BitMatrix,
+    _Record,
     _coordinate_masks,
     _gl_actions,
     _parity,
@@ -48,24 +48,24 @@ class Kind(enum.Enum):
     ZERO = "Zero"
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(_Record):
     """dim-dimensional quadratic form; upper[i] holds bits b_ij for j > i."""
 
-    dim: int
-    diag: int
-    upper: tuple[int, ...]
+    _fields = ("dim", "diag", "upper")
 
-    def __post_init__(self):
-        if not 0 <= self.dim <= MAX_DIM:
-            raise ValueError(f"dimension {self.dim} out of range")
-        if self.diag >> self.dim:
+    def __init__(self, dim: int, diag: int, upper: tuple[int, ...]):
+        if not 0 <= dim <= MAX_DIM:
+            raise ValueError(f"dimension {dim} out of range")
+        if diag >> dim:
             raise ValueError("diag bits set beyond dimension")
-        if len(self.upper) != self.dim:
+        if len(upper) != dim:
             raise ValueError("upper row count mismatch")
-        for i, row in enumerate(self.upper):
-            if row & ((1 << (i + 1)) - 1) or row >> self.dim:
+        for i, row in enumerate(upper):
+            if row & ((1 << (i + 1)) - 1) or row >> dim:
                 raise ValueError(f"upper row {i} has bits outside j > i range")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "upper", upper)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -185,15 +185,15 @@ def direct_sum(q: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:
 # -- change of basis ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(_Record):
     """An invertible change of basis carrying one form onto another."""
 
-    map: BitMatrix
+    _fields = ("map",)
 
-    def __post_init__(self):
-        if not is_invertible(self.map):
+    def __init__(self, map: BitMatrix):
+        if not is_invertible(map):
             raise ValueError("isometry matrix must be invertible")
+        object.__setattr__(self, "map", map)
 
 
 def change_basis(q: QuadraticForm, t: BitMatrix) -> QuadraticForm:
@@ -217,28 +217,28 @@ def change_basis(q: QuadraticForm, t: BitMatrix) -> QuadraticForm:
 # -- classification -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormClass:
+class FormClass(_Record):
     """Complete isometry invariant: hyperbolic rank m1, kind, corank m2."""
 
-    dim: int
-    m1: int
-    kind: Kind
-    m2: int
+    _fields = ("dim", "m1", "kind", "m2")
 
-    def __post_init__(self):
-        if not 0 <= self.dim <= MAX_DIM:
-            raise ValueError(f"dimension {self.dim} out of range")
-        if self.m1 < 0 or self.m2 < 0:
+    def __init__(self, dim: int, m1: int, kind: Kind, m2: int):
+        if not 0 <= dim <= MAX_DIM:
+            raise ValueError(f"dimension {dim} out of range")
+        if m1 < 0 or m2 < 0:
             raise ValueError("m1 and m2 must be nonnegative")
-        if 2 * self.m1 + self.m2 != self.dim:
+        if 2 * m1 + m2 != dim:
             raise ValueError("2*m1 + m2 must equal dim")
-        if self.kind in (Kind.PLUS, Kind.MINUS) and self.m1 < 1:
-            raise ValueError(f"{self.kind.value} kind requires m1 >= 1")
-        if self.kind is Kind.QONE and self.m2 < 1:
+        if kind in (Kind.PLUS, Kind.MINUS) and m1 < 1:
+            raise ValueError(f"{kind.value} kind requires m1 >= 1")
+        if kind is Kind.QONE and m2 < 1:
             raise ValueError("QOne kind requires m2 >= 1")
-        if self.kind is Kind.ZERO and self.m1 != 0:
+        if kind is Kind.ZERO and m1 != 0:
             raise ValueError("Zero kind requires m1 = 0")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "m1", m1)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "m2", m2)
 
     def describe(self) -> str:
         parts = []

@@ -11,11 +11,10 @@ import os
 import random
 import re
 import time
-from dataclasses import dataclass
 
 from . import admissible as adm
 from . import clifford, gexgroup, quadform
-from .f2linalg import _row_image
+from .f2linalg import _Record, _row_image
 
 DEFAULT_SEED = 271828
 SEED_ENV_VAR = "GEXFORMS_SEED"
@@ -32,22 +31,26 @@ def get_seed() -> int:
     return int(raw)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    claim: str
-    ok: bool
-    detail: str
-    elapsed: float
+class CheckResult(_Record):
+    _fields = ("name", "claim", "ok", "detail", "elapsed")
+
+    def __init__(self, name: str, claim: str, ok: bool, detail: str, elapsed: float):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "claim", claim)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "elapsed", elapsed)
 
     def format(self) -> str:
         status = "PASS" if self.ok else "FAIL"
         return f"[{status}] {self.name} ({self.claim}) {self.elapsed:.2f}s {self.detail}"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple[CheckResult, ...]
+class VerificationReport(_Record):
+    _fields = ("checks",)
+
+    def __init__(self, checks: tuple[CheckResult, ...]):
+        object.__setattr__(self, "checks", checks)
 
     @property
     def passed(self) -> int:

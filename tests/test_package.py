@@ -1,10 +1,17 @@
 import ast
+import inspect
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import gexforms
+from gexforms.clifford import EnTableRow
+from gexforms.f2linalg import BitMatrix
+from gexforms.gexgroup import BaseKind, Center, GexGroup, GroupClass
+from gexforms.quadform import FormClass, Isometry, Kind, QuadraticForm
+from gexforms.verify import CheckResult, VerificationReport
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gexforms"
@@ -100,6 +107,79 @@ def uncalled_surface(package, uncalled=UNCALLED):
         for qual in uncalled
         if qual not in names
     ]
+
+
+# Modules a library import must not load: dataclasses and what it imports.
+# Each verify-paper pass starts a fresh interpreter and pays for them.
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_cli_import_loads_no_dataclasses_machinery():
+    """import gexforms.cli, in an interpreter started with -S so that no
+    site hook imports anything first, loads none of HEAVY_MODULES."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import gexforms.cli; "
+        f"print(sorted(set(sys.modules) & {set(HEAVY_MODULES)!r}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
+
+
+GC = GroupClass(BaseKind.Q8_POWER_Z4, 1, 2)
+CHECK = CheckResult("laws", "a claim", True, "3 groups", 0.25)
+CHECK_REPR = "CheckResult(name='laws', claim='a claim', ok=True, detail='3 groups', elapsed=0.25)"
+GC_REPR = "GroupClass(base=<BaseKind.Q8_POWER_Z4: 'Q8^*m*Z4'>, m=1, z2rank=2)"
+H_MINUS_REPR = "QuadraticForm(dim=2, diag=3, upper=(2, 0))"
+RECORDS = [
+    (BitMatrix, (2, 3, (5, 2)), "BitMatrix(rows=2, cols=3, data=(5, 2))"),
+    (QuadraticForm, (2, 3, (2, 0)), H_MINUS_REPR),
+    (
+        Isometry,
+        (BitMatrix(1, 1, (1,)),),
+        "Isometry(map=BitMatrix(rows=1, cols=1, data=(1,)))",
+    ),
+    (
+        FormClass,
+        (3, 1, Kind.QONE, 1),
+        "FormClass(dim=3, m1=1, kind=<Kind.QONE: 'QOne'>, m2=1)",
+    ),
+    (GexGroup, (QuadraticForm(2, 3, (2, 0)),), f"GexGroup(form={H_MINUS_REPR})"),
+    (Center, ((1, 4),), "Center(radical=(1, 4))"),
+    (GroupClass, (BaseKind.Q8_POWER_Z4, 1, 2), GC_REPR),
+    (
+        EnTableRow,
+        (3, 3, GC, GC),
+        f"EnTableRow(n=3, residue=3, computed={GC_REPR}, expected={GC_REPR})",
+    ),
+    (CheckResult, ("laws", "a claim", True, "3 groups", 0.25), CHECK_REPR),
+    (VerificationReport, ((CHECK,),), f"VerificationReport(checks=({CHECK_REPR},))"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, text", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS]
+)
+def test_record_semantics(cls, fields, text):
+    """Each record class takes its fields positionally in the order of its
+    constructor's parameters, reprs them by name, is equal to a record of
+    the same class with equal fields and hashes as its field tuple, is never
+    equal to that tuple, and refuses assignment and deletion of its fields
+    and of any new attribute."""
+    names = list(inspect.signature(cls).parameters)
+    record, twin = cls(*fields), cls(*fields)
+    assert tuple(getattr(record, name) for name in names) == fields
+    assert repr(record) == text
+    assert record == twin and not record != twin
+    assert hash(record) == hash(twin) == hash(fields)
+    assert record != fields and not record == fields
+    for name in (*names, "new_attribute"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert repr(record) == text
 
 
 def test_star_import_resolves_every_public_name():

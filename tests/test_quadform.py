@@ -608,7 +608,7 @@ def test_classify_builds_each_class_once(monkeypatch):
     forms += [hidden_form(fc, rng) for fc in top]
     first = [classify(q) for q in forms]
     forms += [hidden_form(fc, rng) for fc in top]
-    built = counted(monkeypatch, FormClass, "__post_init__")
+    built = counted(monkeypatch, FormClass, "__init__")
     again = [classify(q) for q in forms]
     assert built.calls == 0
     assert all(a is b for a, b in zip(first, again))
