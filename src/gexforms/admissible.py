@@ -15,7 +15,6 @@ from .f2linalg import (
     _coordinate_masks,
     _pack,
     _pivots,
-    _row_image,
     _transpose,
     _translate,
     is_invertible,
@@ -78,41 +77,42 @@ def is_admissible(q: QuadraticForm) -> bool:
     return fc.kind is Kind.MINUS or fc.m1 >= 2
 
 
-def _standard_basis(fc: FormClass) -> list[int]:
-    """The admissible basis of standard_form(fc), for an admissible class: the
-    plane sums e_2i + e_2i+1, a B_Q-partner for each, e_0 + e_2m for QOne, then
-    e_0 + e_1 + e_z for each zero coordinate z."""
+def _standard_basis(fc: FormClass, cols) -> list[int]:
+    """The admissible basis of an admissible class, written on the columns
+    cols of a witness T onto standard_form(fc): its standard vectors are the
+    plane sums e_2i + e_2i+1, a B_Q-partner for each, e_0 + e_2m for QOne,
+    then e_0 + e_1 + e_z for each zero coordinate z, and T maps each e_i to
+    cols[i], so each vector is the XOR of one to three columns.  Unit
+    columns give the basis of standard_form(fc) itself."""
     m = fc.m1
-    vs = [3 << (2 * i) for i in range(m)]
+    c = cols
+    vs = [c[2 * i] ^ c[2 * i + 1] for i in range(m)]
     if fc.kind is Kind.MINUS:
-        vs += [1] + [1 | (1 << (2 * k)) for k in range(1, m)]
-    else:
-        vs.append(1 | (3 << (2 * m - 2)))
-        vs += [(3 << (2 * k - 2)) | (1 << (2 * k + 1)) for k in range(1, m)]
+        vs += [c[0]] + [c[0] ^ c[2 * k] for k in range(1, m)]
+    else:  # m >= 2, so e_0 is not in the last plane
+        vs.append(c[0] ^ c[2 * m - 2] ^ c[2 * m - 1])
+        vs += [c[2 * k - 2] ^ c[2 * k - 1] ^ c[2 * k + 1] for k in range(1, m)]
     if fc.kind is Kind.QONE:
-        vs.append(1 | (1 << (2 * m)))
+        vs.append(c[0] ^ c[2 * m])
     # One vector per coordinate so far: the zero coordinates start at len(vs).
-    vs += [vs[0] | (1 << z) for z in range(len(vs), fc.dim)]
+    vs += [vs[0] ^ c[z] for z in range(len(vs), fc.dim)]
     return vs
 
 
 def admissible_witness(q: QuadraticForm) -> tuple[int, ...] | None:
     """A concrete admissible basis for q as packed vectors, or None.
 
-    Builds the explicit basis for the standard representative, then pulls it
-    back through the columns of the normal-form change of basis, which must
-    be invertible: ValueError otherwise.
+    Writes the explicit basis of the standard representative directly on
+    the columns of the normal-form change of basis, which must be
+    invertible: ValueError otherwise.
     """
     if not is_admissible(q):
         return None
-    std = _standard_basis(classify(q))
     cols = _normal_basis(q)[1]
     # The columns as rows: rank does not change under transpose.
     if not is_invertible(BitMatrix(q.dim, q.dim, tuple(cols))):
         raise ValueError("normal-form change of basis must be invertible")
-    # Tw is the XOR of the columns of T selected by the bits of w, and each
-    # standard vector w has at most three set bits.
-    return tuple(_row_image(cols, w) for w in std)
+    return tuple(_standard_basis(classify(q), cols))
 
 
 def is_admissible_bruteforce(q: QuadraticForm) -> tuple[int, ...] | None:

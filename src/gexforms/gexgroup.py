@@ -31,8 +31,9 @@ without its lowest set bit, XORed with the unit row of that bit, built once
 and stored, so the table holds at most 2^dim rows.  A left factor outside
 the group reaches a single bit that has no unit row and raises IndexError
 with nothing stored.  The table takes no part in equality, hashing or repr.
-``center`` returns a view sized from a basis of the radical of B_Q; its
-elements are built only when it is iterated.
+``center`` returns a view sized from the radical vectors of one full
+``symplectic_basis`` call, some basis of the radical of B_Q, not a
+canonical one; its elements are built only when it is iterated.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from collections import Counter
 from functools import cached_property
 from itertools import product
 
-from .f2linalg import BitMatrix, _Record, _span, kernel_basis, rank
+from .f2linalg import BitMatrix, _Record, _span, rank, symplectic_basis
 from .quadform import (
     FormClass,
     Kind,
@@ -117,8 +118,8 @@ def from_form(q: QuadraticForm) -> GexGroup:
 class Center(_Record):
     """{(v, eps) : v in radical(B_Q)}: both central fibers over the radical.
 
-    A view: its size is 2^(k+1) for the k vectors of ``radical``, a basis of
-    the radical, and iterating yields the packed elements in sorted order,
+    A view: its size is 2^(k+1) for the k vectors of ``radical``, some basis
+    of the radical, and iterating yields the packed elements in sorted order,
     read off the span table of that basis.
     """
 
@@ -137,7 +138,10 @@ class Center(_Record):
 
 
 def center(g: GexGroup) -> Center:
-    return Center(tuple(kernel_basis(g.form.polar())))
+    """The preimage of rad(B_Q), spanned by the radical vectors of one full
+    ``symplectic_basis`` decomposition, as B_Q is nondegenerate on its
+    pairs: no ``polar``, no ``kernel_basis`` and no law application."""
+    return Center(tuple(symplectic_basis(g.form)[1]))
 
 
 def frattini_order(g: GexGroup) -> int:

@@ -215,9 +215,10 @@ def test_witness_random_larger_dims():
 
 
 def test_witness_pull_back_matches_matvec():
-    """The witness is the standard basis pulled back through the normal-form
-    map T, column by column; matvec_bits (one parity per row) is the
-    reference, over dims 4..64 and every admissible kind."""
+    """The witness, written on the witness columns, is T applied to the
+    basis of the standard form, for the normal-form map T; matvec_bits (one
+    parity per row) is the reference, over dims 4..64 and every admissible
+    kind."""
     rng = random.Random(RNG_SEED + 2)
     kinds = set()
     for dim in range(4, 65):
@@ -233,8 +234,37 @@ def test_witness_pull_back_matches_matvec():
             fc = classify(q)
             kinds.add(fc.kind)
             t = normal_form_witness(q).map
-            assert w == tuple(matvec_bits(t, v) for v in _standard_basis(fc))
+            std = _standard_basis(fc, [1 << i for i in range(dim)])
+            assert w == tuple(matvec_bits(t, v) for v in std)
     assert len(kinds) == 3
+
+
+@pytest.mark.parametrize(
+    "fc, expected",
+    [
+        (
+            FormClass(7, 3, Kind.MINUS, 1),
+            [0b11, 0b1100, 0b110000, 0b1, 0b101, 0b10001, 0b1000011],
+        ),
+        (
+            FormClass(6, 3, Kind.PLUS, 0),
+            [0b11, 0b1100, 0b110000, 0b110001, 0b1011, 0b101100],
+        ),
+        (
+            FormClass(7, 2, Kind.QONE, 3),
+            [0b11, 0b1100, 0b1101, 0b1011, 0b10001, 0b100011, 0b1000011],
+        ),
+    ],
+    ids=["minus", "plus", "qone"],
+)
+def test_standard_basis_on_unit_columns(fc, expected):
+    """On unit columns, _standard_basis is the admissible basis of the
+    standard form, written out here vector by vector: plane sums, a partner
+    for each, e_0 + e_2m for QOne, and e_0 + e_1 + e_z for each zero
+    coordinate z."""
+    std = _standard_basis(fc, [1 << i for i in range(fc.dim)])
+    assert std == expected
+    assert check_basis(standard_form(fc), tuple(std))
 
 
 def test_decision_paths_never_evaluate_the_form(monkeypatch):
@@ -298,7 +328,9 @@ def test_user_path_makes_the_decompositions_and_transposes_of_its_docstrings(
     imports symplectic_basis and rank by name, so each binding is counted.
     4 of the 6 decompositions are class-only (``vectors=False``), one per
     classify call, direct or through is_admissible, and 2 build vectors:
-    _normal_basis in normal_form_witness and in admissible_witness."""
+    _normal_basis in normal_form_witness and in admissible_witness.  The
+    witness is written on the columns of _normal_basis, with no pullback:
+    no _row_image call."""
     rng = random.Random(RNG_SEED + 9)
     forms = [
         hidden_form(fc, rng)
@@ -310,7 +342,7 @@ def test_user_path_makes_the_decompositions_and_transposes_of_its_docstrings(
     ]
     counters = [
         counted(monkeypatch, f2linalg, name)
-        for name in ("symplectic_basis", "_transpose", "rank")
+        for name in ("symplectic_basis", "_transpose", "rank", "_row_image")
     ]
     for q in forms:
         for counter in counters:
@@ -319,7 +351,7 @@ def test_user_path_makes_the_decompositions_and_transposes_of_its_docstrings(
         normal_form_witness(q)
         assert is_admissible(q)
         admissible_witness(q)
-        assert [c.calls for c in counters] == [6, 7, 2], q.to_string()
+        assert [c.calls for c in counters] == [6, 7, 2, 0], q.to_string()
         class_only = counters[0].class_only
         assert [class_only, counters[0].calls - class_only] == [4, 2], q.to_string()
 

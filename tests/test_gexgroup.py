@@ -3,8 +3,8 @@ from collections import Counter
 
 import pytest
 
-from gexforms import gexgroup, verify
-from gexforms.f2linalg import _parity, rank
+from gexforms import f2linalg, gexgroup, verify
+from gexforms.f2linalg import _parity, _span, kernel_basis, rank
 from gexforms.gexgroup import (
     FROM_FORM_DIM_CAP,
     BaseKind,
@@ -127,6 +127,35 @@ def test_center_matches_bruteforce():
         view = center(g)
         assert len(view) == len(reference), q.to_string()
         assert list(view) == reference, q.to_string()
+
+
+def test_center_reads_the_radical_of_one_decomposition(monkeypatch):
+    """center makes exactly one symplectic_basis call, with vectors, and
+    calls no polar, kernel_basis or pmul, on every class of
+    form_classes(dim) at dims 0-16 behind a seeded hidden basis, the dim-16
+    Zero form and Q1 + 0^15 among them.  Its size and its elements match
+    the span of kernel_basis(polar), the independent reference, taken
+    before those calls are forbidden."""
+    rng = random.Random(RNG_SEED + 11)
+    classes = [fc for dim in range(17) for fc in form_classes(dim)]
+    assert len(classes) == 217
+    assert FormClass(16, 0, Kind.ZERO, 16) in classes  # Z2^17
+    assert FormClass(16, 0, Kind.QONE, 16) in classes  # Q1 + 0^15: Z4 x Z2^15
+    groups = [from_form(hidden_form(fc, rng)) for fc in classes]
+    references = []
+    for g in groups:
+        radical = sorted(_span(kernel_basis(g.form.polar())))
+        references.append([v << 1 | eps for v in radical for eps in (0, 1)])
+    decompositions = counted(monkeypatch, f2linalg, "symplectic_basis")
+    forbid(monkeypatch, QuadraticForm, "polar", "center read the polar form")
+    forbid(monkeypatch, f2linalg, "kernel_basis", "center eliminated the polar form")
+    forbid(monkeypatch, GexGroup, "pmul", "center applied the group law")
+    for g, reference in zip(groups, references):
+        decompositions.calls = decompositions.class_only = 0
+        view = center(g)
+        assert (decompositions.calls, decompositions.class_only) == (1, 0)
+        assert len(view) == len(reference), g.form.to_string()
+        assert list(view) == reference, g.form.to_string()
 
 
 def test_generalized_extraspecial_vs_bruteforce_frattini():
