@@ -31,9 +31,10 @@ without its lowest set bit, XORed with the unit row of that bit, built once
 and stored, so the table holds at most 2^dim rows.  A left factor outside
 the group reaches a single bit that has no unit row and raises IndexError
 with nothing stored.  The table takes no part in equality, hashing or repr.
-``center`` returns a view sized from the radical vectors of one full
-``symplectic_basis`` call, some basis of the radical of B_Q, not a
-canonical one; its elements are built only when it is iterated.
+A model decomposes its form once, on first use, and keeps the full
+``symplectic_basis`` result outside equality, hashing and repr.
+``classify_group`` reads the class off it; ``center`` returns a view sized
+from its radical vectors, some basis of rad(B_Q), not a canonical one.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from .quadform import (
     FormClass,
     Kind,
     QuadraticForm,
+    _form_class,
     _normal_basis,
-    classify,
     direct_sum,
     zero_form,
 )
@@ -73,7 +74,9 @@ class _Rows(dict):
 
 class GexGroup(_Record):
     """Group of order 2^(dim+1) presented by a quadratic form via its cocycle,
-    with its law read off a self-filling row table that only the form fixes."""
+    with its law read off a self-filling row table that only the form fixes.
+    ``center`` and ``classify_group`` share one decomposition of the form,
+    kept from first use; neither it nor the table enters ==, hash or repr."""
 
     _fields = ("form",)
 
@@ -85,6 +88,7 @@ class GexGroup(_Record):
             rows[1 << i] = (form.upper[i] | (form.diag >> i & 1) << i) << 1
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_decomposition", None)
 
     @property
     def dim(self) -> int:
@@ -110,6 +114,13 @@ class GexGroup(_Record):
 
 def from_form(q: QuadraticForm) -> GexGroup:
     return GexGroup(q)
+
+
+def _decompose(g: GexGroup) -> tuple[list[tuple[int, int]], list[int], int]:
+    """symplectic_basis(g.form), with vectors, made once per model."""
+    if g._decomposition is None:
+        object.__setattr__(g, "_decomposition", symplectic_basis(g.form))
+    return g._decomposition
 
 
 # -- subgroups ---------------------------------------------------------------
@@ -138,10 +149,11 @@ class Center(_Record):
 
 
 def center(g: GexGroup) -> Center:
-    """The preimage of rad(B_Q), spanned by the radical vectors of one full
-    ``symplectic_basis`` decomposition, as B_Q is nondegenerate on its
-    pairs: no ``polar``, no ``kernel_basis`` and no law application."""
-    return Center(tuple(symplectic_basis(g.form)[1]))
+    """The preimage of rad(B_Q), spanned by the radical vectors of the
+    model's one full decomposition, shared with ``classify_group``, as B_Q
+    is nondegenerate on its pairs: no ``polar``, no ``kernel_basis`` and no
+    law application."""
+    return Center(tuple(_decompose(g)[1]))
 
 
 def frattini_order(g: GexGroup) -> int:
@@ -251,7 +263,10 @@ def group_class_of_form_class(fc: FormClass) -> GroupClass:
 
 
 def classify_group(g: GexGroup) -> GroupClass:
-    return group_class_of_form_class(classify(g.form))
+    """The class of g, read off the pairs and values of the model's one full
+    decomposition, shared with ``center``: no second decomposition."""
+    pairs, _, values = _decompose(g)
+    return group_class_of_form_class(_form_class(g.dim, len(pairs), values))
 
 
 # -- reference multiplication tables -------------------------------------------

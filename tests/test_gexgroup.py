@@ -3,8 +3,8 @@ from collections import Counter
 
 import pytest
 
-from gexforms import f2linalg, gexgroup, verify
-from gexforms.f2linalg import _parity, _span, kernel_basis, rank
+from gexforms import f2linalg, gexgroup, quadform, verify
+from gexforms.f2linalg import _parity, _span, kernel_basis, rank, symplectic_basis
 from gexforms.gexgroup import (
     FROM_FORM_DIM_CAP,
     BaseKind,
@@ -23,6 +23,7 @@ from gexforms.gexgroup import (
     direct_z2,
     frattini_order,
     from_form,
+    group_class_of_form_class,
     iso_oracle,
     q_from_group,
 )
@@ -156,6 +157,42 @@ def test_center_reads_the_radical_of_one_decomposition(monkeypatch):
         assert (decompositions.calls, decompositions.class_only) == (1, 0)
         assert len(view) == len(reference), g.form.to_string()
         assert list(view) == reference, g.form.to_string()
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [(classify_group, center), (center, classify_group)],
+    ids=["class-first", "center-first"],
+)
+def test_center_and_class_share_one_decomposition(monkeypatch, steps):
+    """A fresh model of every class of form_classes(dim) at dims 0-16, behind
+    a seeded hidden basis, makes exactly one symplectic_basis call, with
+    vectors, and no classify call for classify_group and center, in either
+    order; a repeated call of either makes none.  The results are those of
+    the class-only route, group_class_of_form_class(classify(form)), and of
+    the radical of a fresh decomposition, both taken before counting
+    starts.  The kept decomposition leaves ==, hash and repr as they were."""
+    rng = random.Random(RNG_SEED + 13)
+    forms = [hidden_form(fc, rng) for dim in range(17) for fc in form_classes(dim)]
+    assert len(forms) == 217
+    references = [
+        (group_class_of_form_class(classify(q)), tuple(symplectic_basis(q)[1]))
+        for q in forms
+    ]
+    decompositions = counted(monkeypatch, f2linalg, "symplectic_basis")
+    forbid(monkeypatch, quadform, "classify", "classify_group decomposed again")
+    for q, (group_class, radical) in zip(forms, references):
+        g = from_form(q)
+        before = repr(g), hash(g)
+        decompositions.calls = decompositions.class_only = 0
+        results = {step: step(g) for step in steps}
+        assert (decompositions.calls, decompositions.class_only) == (1, 0)
+        assert {step: step(g) for step in steps} == results
+        assert decompositions.calls == 1
+        assert results[classify_group] == group_class, q.to_string()
+        assert results[center].radical == radical, q.to_string()
+        assert g == from_form(q) and (repr(g), hash(g)) == before
+        assert repr(g) == f"GexGroup(form={q!r})"
 
 
 def test_generalized_extraspecial_vs_bruteforce_frattini():
@@ -674,3 +711,45 @@ def test_group_laws_detects_a_broken_law(monkeypatch):
     assert not ok
     assert detail.startswith(prefix)
     assert parse_form(detail[len(prefix) :]).dim <= 2
+
+
+@pytest.mark.parametrize(
+    "name, mutant, detail",
+    [
+        (
+            "central_product",
+            lambda f: lambda g1, g2: direct_z2(f(g1, g2), 1),
+            "|Q8*Q8| = 64",
+        ),
+        (
+            "frattini_order",
+            lambda f: lambda g: f(g) << (g.dim == 4),
+            "Frattini of a central product must have order 2",
+        ),
+        (
+            "_form_class",
+            lambda f: lambda dim, m1, values: f(dim, m1, values & ~0b11),
+            "Q8*Q8 and D8*D8 classify differently",
+        ),
+        (
+            "iso_oracle",
+            lambda f: lambda g1, g2: f(g1, g2) ^ (g1.order == 32),
+            "oracle rejects Q8*Q8 = D8*D8",
+        ),
+        (
+            "iso_oracle",
+            lambda f: lambda g1, g2: f(g1, g2) ^ (g1.order == 8),
+            "oracle conflates Q8 and D8",
+        ),
+    ],
+    ids=["order", "frattini", "class", "oracle-rejects", "oracle-conflates"],
+)
+def test_central_product_check_names_each_failure(monkeypatch, name, mutant, detail):
+    """check_central_products' five failure returns, each reached by one
+    mutant of gexgroup: a central product with a spare Z2 factor, a
+    Frattini order doubled at dim 4, Q dropped on the first pair of the
+    decomposition that classify_group reads (Q8*Q8 then reads as H- + H+,
+    D8*D8 still as H+ + H+), and the oracle's verdict flipped at order 32
+    and at order 8."""
+    monkeypatch.setattr(gexgroup, name, mutant(getattr(gexgroup, name)))
+    assert verify.check_central_products() == (False, detail)
