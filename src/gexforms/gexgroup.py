@@ -9,13 +9,14 @@ Squares recover Q and commutators recover B_Q, so the group determines the
 form and vice versa.  Elements are packed ints (vec << 1) | central: 0 is the
 identity and 1 the central involution.
 
-``q_from_group`` reads the form through ``pmul`` alone.  For the lifts x, y
-of e_i, e_j, Q(e_i) is x * x, and since xy = [x, y] yx with [x, y] central in
-{0, 1}, B_Q(e_i, e_j) is xy XOR yx.  ``iso_oracle`` reads a form the same way
-from any group law, over a basis modulo the Frattini subgroup; that ties the
-hand-written Q8, D8 and Z4 tables below to H-, H+ and Q1.  It proves each
-isomorphism by checking the relations of one presentation on both groups,
-without building the map.
+``iso_oracle`` reads a form through any group law ``pmul`` alone, over a
+basis modulo the Frattini subgroup: for lifts x, y, Q is x * x, and since
+xy = [x, y] yx with [x, y] central in {0, 1}, B_Q is xy XOR yx.  That ties
+the hand-written Q8, D8 and Z4 tables below to H-, H+ and Q1.  It proves
+each isomorphism by checking the relations of one presentation on both
+groups, without building the map.  ``q_from_group`` reads the same squares
+and commutators of a model off the law's rows of its unit lifts (below),
+with no law application.
 
 On packed ints the law is one XOR plus a parity.  For x = (u, eps) let R(x)
 be the XOR of the cocycle rows M_i over the set bits i of u, shifted left by
@@ -44,7 +45,7 @@ from collections import Counter
 from functools import cached_property
 from itertools import product
 
-from .f2linalg import BitMatrix, _Record, _span, rank, symplectic_basis
+from .f2linalg import BitMatrix, _Record, _span, _transpose_rows, rank, symplectic_basis
 from .quadform import (
     FormClass,
     Kind,
@@ -184,10 +185,18 @@ def _read_form(pmul, gens, identity) -> QuadraticForm:
 
 
 def q_from_group(g: GexGroup) -> QuadraticForm:
-    """Read the form off the group law alone, in dim^2 law applications:
-    Q(e_i) is x * x and B_Q(e_i, e_j) is xy XOR yx, for the lifts x, y of
-    e_i, e_j."""
-    return _read_form(g.pmul, [1 << (i + 1) for i in range(g.dim)], 0)
+    """Read the form off the law's rows of the lifts x_i = e_i << 1, with no
+    law application: dim row reads and one transpose.  Bit j of the row C_i
+    = R(x_i) >> 1 is parity(R(x_i) & x_j), so Q(e_i) = x_i * x_i is C_ii
+    and B_Q(e_i, e_j) = x_i x_j XOR x_j x_i is C_ij ^ C_ji, read off C XOR
+    its transpose.  A model's C is upper-triangular, but the transpose keeps
+    the read right for the law of any bilinear cocycle."""
+    n = g.dim
+    rows = [g.cocycle_row(2 << i) >> 1 for i in range(n)]
+    diag = sum(row & 1 << i for i, row in enumerate(rows))
+    cols = _transpose_rows(rows, n)
+    upper = tuple((r ^ c) & -(2 << i) for i, (r, c) in enumerate(zip(rows, cols)))
+    return QuadraticForm(n, diag, upper)
 
 
 def central_product(g1: GexGroup, g2: GexGroup) -> GexGroup:

@@ -189,6 +189,14 @@ def test_admissibility_check_names_each_failure(monkeypatch, name, mutant, detai
     assert verify.check_admissibility() == (False, detail)
 
 
+def test_splitting_check_names_the_padded_form(monkeypatch):
+    """check_splitting's failure return: a verdict flipped at dim 4 is first
+    met on the first dim-1 form padded with 0^3."""
+    is_adm = admissible.is_admissible
+    monkeypatch.setattr(admissible, "is_admissible", lambda q: is_adm(q) ^ (q.dim == 4))
+    assert verify.check_splitting() == (False, "splitting broken at l=1;d=0;u= + 0^3")
+
+
 def test_admissibility_check_covers_1502_forms_and_856_bases(monkeypatch):
     """Under the default seed the check asks the oracle and the theorem for
     the 4 anchors and the 1,498 swept forms, and check_basis for each of

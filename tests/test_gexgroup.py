@@ -233,16 +233,59 @@ def test_form_round_trips_through_group(monkeypatch):
         assert q_from_group(from_form(q)) == q
 
 
-def test_q_from_group_makes_dim_squared_law_applications(monkeypatch):
-    """The q_from_group docstring: "dim^2 law applications", one square per
-    lift and two products per pair of lifts."""
+def _unit_lifts_form(g):
+    """The reference read of q_from_group: the form through the law itself,
+    dim^2 applications of pmul over the unit lifts e_i << 1."""
+    return gexgroup._read_form(g.pmul, [2 << i for i in range(g.dim)], 0)
+
+
+def _cocycle_form(m):
+    """Q_M(v) = v^T M v for the rows m of a square matrix over GF(2): diag M
+    on the diagonal and b_ij = M_ij + M_ji above it, one bit at a time."""
+    n = len(m)
+    diag = sum((m[i] >> i & 1) << i for i in range(n))
+    upper = tuple(
+        sum(((m[i] >> j ^ m[j] >> i) & 1) << j for j in range(i + 1, n))
+        for i in range(n)
+    )
+    return QuadraticForm(n, diag, upper)
+
+
+def test_q_from_group_reads_the_unit_rows_with_no_law_application(monkeypatch):
+    """The q_from_group docstring: the form is read off the law's rows of the
+    unit lifts, with no law application, and equals the form that dim^2 law
+    applications read (the reference) on every form of dims 0-4 and on seeded
+    forms at every dim up to 16.  The read is right for any bilinear cocycle,
+    not only the upper-triangular one a model seeds: on fresh models whose
+    unit rows are a full matrix M before any row fills, it equals both the
+    reference and Q_M, so a read without the transpose fails here."""
     rng = random.Random(RNG_SEED + 3)
     pmul = counted(monkeypatch, GexGroup, "pmul")
-    for dim in range(9):
-        g = from_form(random_form(dim, rng))
+    forms = [q for dim in range(5) for q in all_forms(dim)]
+    forms += [
+        random_form(dim, rng) for dim in range(FROM_FORM_DIM_CAP + 1) for _ in range(4)
+    ]
+    for q in forms:
+        g = from_form(q)
+        expected = _unit_lifts_form(g)
         pmul.calls = 0
-        assert q_from_group(g) == g.form
-        assert pmul.calls == dim * dim, dim
+        assert q_from_group(g) == expected == q
+        assert pmul.calls == 0, q.dim
+    for dim in range(2, FROM_FORM_DIM_CAP + 1):
+        # The all-ones M and seeded ones with M_{dim-1,0} = 1: none is
+        # upper-triangular, and Q_M differs from the form of M's upper part.
+        matrices = [[(1 << dim) - 1] * dim]
+        for _ in range(4):
+            matrices.append([rng.getrandbits(dim) for _ in range(dim - 1)])
+            matrices[-1].append(rng.getrandbits(dim) | 1)
+        for m in matrices:
+            g = from_form(random_form(dim, rng))
+            for i, row in enumerate(m):
+                g._rows[1 << i] = row << 1
+            pmul.calls = 0
+            got = q_from_group(g)
+            assert pmul.calls == 0, dim
+            assert got == _unit_lifts_form(g) == _cocycle_form(m), (dim, m)
 
 
 def test_iso_oracle_makes_the_law_applications_of_its_docstring(monkeypatch):
@@ -753,3 +796,52 @@ def test_central_product_check_names_each_failure(monkeypatch, name, mutant, det
     and at order 8."""
     monkeypatch.setattr(gexgroup, name, mutant(getattr(gexgroup, name)))
     assert verify.check_central_products() == (False, detail)
+
+
+def _without_q(q):
+    """q with Q(e_i) = 0 on every unit vector and its polar form kept."""
+    return QuadraticForm(q.dim, 0, q.upper)
+
+
+@pytest.mark.parametrize(
+    "owner, name, mutant, detail",
+    [
+        (
+            gexgroup,
+            "q_from_group",
+            lambda f: lambda g: _without_q(f(g)),
+            "central product form mismatch at l=6;d=010010;u=000000000000111",
+        ),
+        (
+            gexgroup,
+            "q_from_group",
+            lambda f: lambda g: zero_form(8) if g.dim == 8 else f(g),
+            "Z2-factor form mismatch at l=6;d=010010;u=000000000000111 + 0^2",
+        ),
+        (
+            GexGroup,
+            "order",
+            lambda f: property(lambda g: f.fget(g) << (g.dim > 2)),
+            "order 1024 at l=6;d=010010;u=000000000000111 + 0^2",
+        ),
+    ],
+    ids=["product-form", "z2-form", "order"],
+)
+def test_dictionary_check_names_each_failure(monkeypatch, owner, name, mutant, detail):
+    """check_dictionary's three failure returns after its tables, each reached
+    by one mutant on the first random product under the default seed, a
+    dim-6 q12 padded with 0^2: q_from_group reading every square as trivial,
+    q_from_group reading the zero form at dim 8 (the padded model, not the
+    product), and a model order doubled above dim 2 (the models that the
+    dim-1 and dim-2 tables are checked against keep theirs)."""
+    monkeypatch.delenv(verify.SEED_ENV_VAR, raising=False)
+    monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
+    assert verify.check_dictionary() == (False, detail)
+
+
+def test_group_laws_check_names_the_squaring_failure(monkeypatch):
+    """check_group_laws' squaring return: models built without the diagonal
+    of their form keep every commutator, so only the squares fail, first at
+    the dim-1 form with Q(e_1) = 1."""
+    monkeypatch.setattr(gexgroup, "from_form", lambda q: GexGroup(_without_q(q)))
+    assert verify.check_group_laws() == (False, "squaring law at l=1;d=1;u=")

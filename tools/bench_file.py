@@ -6,8 +6,12 @@ Each input holds the JSON records that ``benchmarks/run.py --results FILE``
 appends, one per run; untraced full-size runs count.  For each side, each
 workload and each end-to-end metric the output gives the median, the
 quartiles (as ``run.py --compare`` computes them), n and the seeds, next to
-the side's git SHAs and Python versions.  To diff the change side of two
-BENCH files, metric by metric:
+the side's git SHAs and Python versions.  ``run.py`` labels a run with the
+HEAD of its checkout, so a run of uncommitted source carries its parent's
+SHA: a SHA on both sides makes the script exit 1 with one line naming it
+on stderr, and writes nothing.  Run the change side from a copy without
+``.git`` (its SHA is then null) or from a commit of its own.  To diff the
+change side of two BENCH files, metric by metric:
 
     python3 -c 'import json,sys; a,b=(json.load(open(p))["change"]["workloads"] for p in sys.argv[1:]); [print(w,m,a[w][m]["median"],"->",b[w][m]["median"]) for w in b if w in a for m in b[w]]' OLD.json NEW.json
 """
@@ -51,6 +55,9 @@ def _one_line(match):
 
 
 if __name__ == "__main__":
-    parent, change = sys.argv[1:3]
-    text = json.dumps({"parent": side(parent), "change": side(change)}, indent=1)
+    parent, change = (side(path) for path in sys.argv[1:3])
+    shared = set(parent["git_sha"]) & set(change["git_sha"]) - {None}
+    if shared:
+        sys.exit(f"bench_file: git_sha {min(shared)} labels runs on both sides")
+    text = json.dumps({"parent": parent, "change": change}, indent=1)
     print(re.sub(r"\[\s+([^][{}]*?)\s+\]", _one_line, text))
